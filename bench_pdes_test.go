@@ -3,7 +3,7 @@
 // node-confined companion workload, run under both engine modes and a sweep
 // of in-window worker counts. scripts/bench.sh runs the set as interleaved
 // fresh-process passes and distills results/BENCH_pdes.json via
-// cmd/benchjson's pdes schema (v4), comparing best-of-pass values:
+// cmd/benchjson's pdes schema (v5), comparing best-of-pass values:
 //
 //   - events/op must agree exactly between serial and every parallel
 //     variant — the hex-identity canary in throughput form;
@@ -44,20 +44,12 @@ var pdesVariants = []struct {
 	name    string
 	mode    hierknem.EngineMode
 	workers int
-	elide   bool
 }{
-	{"mode=serial", hierknem.EngineSerial, 0, false},
-	{"mode=parallel", hierknem.EngineParallel, 0, false},
-	{"mode=parallel/workers=1", hierknem.EngineParallel, 1, false},
-	{"mode=parallel/workers=2", hierknem.EngineParallel, 2, false},
-	{"mode=parallel/workers=4", hierknem.EngineParallel, 4, false},
-	// The phasesafe payoff variant: same engine and default worker count as
-	// mode=parallel, but the per-message confinement guards are elided
-	// inside manifest-proved regions. events/op must match every other
-	// variant exactly (elision removes assertions, not events); events/sec
-	// against mode=parallel is the guard cost, distilled by cmd/benchjson's
-	// pdes schema v4 as guardSpeedup.
-	{"mode=parallel/guards=elided", hierknem.EngineParallel, 0, true},
+	{"mode=serial", hierknem.EngineSerial, 0},
+	{"mode=parallel", hierknem.EngineParallel, 0},
+	{"mode=parallel/workers=1", hierknem.EngineParallel, 1},
+	{"mode=parallel/workers=2", hierknem.EngineParallel, 2},
+	{"mode=parallel/workers=4", hierknem.EngineParallel, 4},
 }
 
 // benchPDESVariants runs the workload under every engine variant on
@@ -66,11 +58,6 @@ func benchPDESVariants(b *testing.B, spec hierknem.Spec, np int, run func(w *hie
 	for _, v := range pdesVariants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			if v.elide {
-				// Outside the timed region: the first manifest validation
-				// hashes source files (and may re-run the analyzers).
-				ensureManifest(b)
-			}
 			benchDES(b,
 				func() (*hierknem.World, error) {
 					w, err := hierknem.NewWorld(spec, "bycore", np)
@@ -80,11 +67,6 @@ func benchPDESVariants(b *testing.B, spec hierknem.Spec, np int, run func(w *hie
 					w.SetEngineMode(v.mode)
 					if v.workers > 0 {
 						w.SetEngineWorkers(v.workers)
-					}
-					if v.elide {
-						if err := w.SetGuardMode(hierknem.GuardElided); err != nil {
-							return nil, err
-						}
 					}
 					return w, nil
 				},

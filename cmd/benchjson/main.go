@@ -46,7 +46,7 @@
 //		    -serial-sec 10.4 -parallel-sec 2.9 -workers 8 -identical \
 //		    -o results/BENCH_sweep.json
 //
-//	  - pdes (-schema pdes, hierknem/bench-pdes/v4): the conservative parallel
+//	  - pdes (-schema pdes, hierknem/bench-pdes/v5): the conservative parallel
 //	    DES engine. Pairs each BenchmarkPDES* mode=serial benchmark with its
 //	    mode=parallel twin and folds every mode=parallel/workers=N variant
 //	    into that pair's speedup-vs-workers curve; events/op must agree
@@ -67,21 +67,10 @@
 //	    on every workers>=2 variant, on every host — phases run on goroutines
 //	    regardless of core count, so a zero fraction means the collective
 //	    brackets regressed — plus -min-phased-fraction (default 0.5) when the
-//	    host clears -min-cores. v4 adds the guard-elision pair: each
-//	    workload's mode=parallel/guards=elided variant (same engine, same
-//	    default worker count, per-message confinement guards elided inside
-//	    phasesafe-proved regions) joins the comparison as guard_speedup =
-//	    elided events/sec / checked events/sec. Its events/op must equal the
-//	    serial twin's exactly on every host — elision removes assertions, not
-//	    events, so any drift means a guard had an effect and the proof is
-//	    unsound — while the throughput bound is deliberately soft
-//	    (-min-guard-speedup, default 0.95) and, like the other throughput
-//	    bars, binds only at >= -min-cores cores: the guards cost a few
-//	    percent at most, so the bar only catches elision making things
-//	    materially worse, the measured gain is recorded rather than gated,
-//	    and on a small shared host the scheduler band swamps it. The pdes
-//	    comparisons use best-of-count values rather than means so the tight
-//	    parity bar measures engine overhead, not shared-host scheduler noise.
+//	    host clears -min-cores. The pdes comparisons use best-of-count values
+//	    rather than means so the tight parity bar measures engine overhead,
+//	    not shared-host scheduler noise. v5 has the v3 layout: the v4
+//	    guards=elided pair and its fields are gone.
 //
 //		go test -run '^$' -bench BenchmarkPDES -benchtime 1x -count 3 -benchmem . |
 //		    go run ./cmd/benchjson -schema pdes -enforce 'Fig3a|NodeLocal' \
@@ -165,27 +154,17 @@ type DESComparison struct {
 // workload, so the document carries the speedup-vs-workers curve. Rates and
 // allocation counts here are best-of-count, not means (see comparePDES).
 type PDESComparison struct {
-	Benchmark            string  `json:"benchmark"`
-	SerialEventsPerSec   float64 `json:"serial_events_per_sec"`
-	ParallelEventsPerSec float64 `json:"parallel_events_per_sec"`
-	Speedup              float64 `json:"speedup"` // parallel / serial
-	SerialEventsPerOp    float64 `json:"serial_events_per_op"`
-	ParallelEventsPerOp  float64 `json:"parallel_events_per_op"`
-	EventsMatch          bool    `json:"events_match"`
-	SerialAllocsPerOp    float64 `json:"serial_allocs_per_op,omitempty"`
-	ParallelAllocsPerOp  float64 `json:"parallel_allocs_per_op,omitempty"`
-	PhasedFraction       float64 `json:"phased_window_fraction,omitempty"`
-	// The guards=elided twin (schema v4): same engine and worker count as
-	// the parallel twin, confinement guards elided under the phasesafe
-	// manifest. GuardSpeedup is elided/checked best-of-count events/sec;
-	// ElidedEventsMatch is the elision soundness canary (must equal the
-	// serial twin's events/op bit for bit).
-	ElidedEventsPerSec float64           `json:"elided_events_per_sec,omitempty"`
-	GuardSpeedup       float64           `json:"guard_speedup,omitempty"` // elided / parallel
-	ElidedEventsPerOp  float64           `json:"elided_events_per_op,omitempty"`
-	ElidedAllocsPerOp  float64           `json:"elided_allocs_per_op,omitempty"`
-	ElidedEventsMatch  *bool             `json:"elided_events_match,omitempty"`
-	Workers            []PDESWorkerPoint `json:"workers,omitempty"`
+	Benchmark            string            `json:"benchmark"`
+	SerialEventsPerSec   float64           `json:"serial_events_per_sec"`
+	ParallelEventsPerSec float64           `json:"parallel_events_per_sec"`
+	Speedup              float64           `json:"speedup"` // parallel / serial
+	SerialEventsPerOp    float64           `json:"serial_events_per_op"`
+	ParallelEventsPerOp  float64           `json:"parallel_events_per_op"`
+	EventsMatch          bool              `json:"events_match"`
+	SerialAllocsPerOp    float64           `json:"serial_allocs_per_op,omitempty"`
+	ParallelAllocsPerOp  float64           `json:"parallel_allocs_per_op,omitempty"`
+	PhasedFraction       float64           `json:"phased_window_fraction,omitempty"`
+	Workers              []PDESWorkerPoint `json:"workers,omitempty"`
 }
 
 // PDESWorkerPoint is one workers=N run of a workload's parallel twin. The
@@ -227,7 +206,6 @@ type Criterion struct {
 	SpeedupEnforced   *bool   `json:"speedup_enforced,omitempty"` // pdes: false below min_cores
 	MaxParityOverhead float64 `json:"max_parity_overhead,omitempty"`
 	MinPhasedFraction float64 `json:"min_phased_fraction,omitempty"` // pdes: fraction bar on >=min_cores hosts (nonzero always binds)
-	MinGuardSpeedup   float64 `json:"min_guard_speedup,omitempty"`   // pdes: soft floor on elided/checked events/sec (identity bar always binds)
 	AppliesTo         string  `json:"applies_to"`
 	SpeedupAppliesTo  string  `json:"speedup_applies_to,omitempty"` // pdes: speedup-bar pattern when it differs from applies_to
 	PhasedAppliesTo   string  `json:"phased_applies_to,omitempty"`  // pdes: phased-fraction-bar pattern
@@ -278,7 +256,6 @@ func main() {
 	enforceSpeedup := flag.String("enforce-speedup", "", "pdes: regexp selecting the benchmarks the speedup bar applies to (default: the -enforce pattern); identity and parity bars keep following -enforce")
 	enforcePhased := flag.String("enforce-phased", "", "pdes: regexp selecting the benchmarks whose workers>=2 variants must report a nonzero phased-window fraction (default: the -enforce-speedup pattern)")
 	minPhasedFrac := flag.Float64("min-phased-fraction", 0.5, "pdes: phased-window fraction the -enforce-phased matches must reach on hosts with >= min-cores cores (nonzero binds on every host)")
-	minGuardSpeedup := flag.Float64("min-guard-speedup", 0.95, "pdes: floor on the guards=elided variant's events/sec relative to the checked parallel twin, enforced at >= min-cores cores (events/op identity always binds; the gain itself is recorded, not gated)")
 	flag.Parse()
 
 	if *schema == "sweep" {
@@ -333,7 +310,7 @@ func main() {
 			rep.Criterion = &Criterion{MinSpeedup: *minSpeedup, MinAllocRatio: *minAllocRatio, AppliesTo: *enforce, Pass: pass}
 		}
 	case "pdes":
-		rep.Schema = "hierknem/bench-pdes/v4"
+		rep.Schema = "hierknem/bench-pdes/v5"
 		rep.HostCores = *hostCores
 		enforced := *hostCores >= *minCores
 		if *enforceSpeedup == "" {
@@ -350,14 +327,13 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("bad -enforce-phased pattern: %w", err))
 		}
-		pass = comparePDES(rep, re, speedRe, phasedRe, *minPDESSpeedup, *minPhasedFrac, enforced, *maxParity, *minGuardSpeedup)
+		pass = comparePDES(rep, re, speedRe, phasedRe, *minPDESSpeedup, *minPhasedFrac, enforced, *maxParity)
 		rep.Criterion = &Criterion{
 			MinSpeedup:        *minPDESSpeedup,
 			MinCores:          *minCores,
 			SpeedupEnforced:   &enforced,
 			MaxParityOverhead: *maxParity,
 			MinPhasedFraction: *minPhasedFrac,
-			MinGuardSpeedup:   *minGuardSpeedup,
 			AppliesTo:         *enforce,
 			SpeedupAppliesTo:  *enforceSpeedup,
 			PhasedAppliesTo:   *enforcePhased,
@@ -637,23 +613,13 @@ func compareDES(rep *Report, baselinePath string, re *regexp.Regexp, minSpeedup,
 // bind to phasedRe matches on every workers>=2 variant: the fraction must be
 // nonzero on every host (phases execute on goroutines regardless of core
 // count, so zero means the collective brackets regressed) and must reach
-// minPhasedFrac when enforceSpeedup is set. The guards=elided variant (v4)
-// binds two further bars wherever the variant ran: its events/op must equal
-// the serial twin's exactly on every host (elision removes assertions, not
-// events — drift means a guard had an observable effect and the phasesafe
-// proof is unsound), and when enforceSpeedup is set its best-of-count
-// events/sec must reach minGuardSpeedup x the checked parallel twin's — a
-// soft floor catching elision that somehow made things slower, while the
-// actual guard_speedup is recorded for the document's readers rather than
-// gated above 1 (the guards cost a few percent at most, which a small
-// shared host's scheduler band swamps — hence the min-cores waiver, like
-// the other throughput bars). All pdes comparisons use the
+// minPhasedFrac when enforceSpeedup is set. All pdes comparisons use the
 // best-of-count value (max events/sec, min allocs/op), not the mean:
 // single-core CI containers show 20-30% run-to-run scheduler noise that only
 // ever depresses a run, and a tight parity bar on means would gate on that
 // noise instead of on engine overhead. The means and stddevs stay recorded
 // per benchmark. Returns overall pass/fail.
-func comparePDES(rep *Report, re, speedRe, phasedRe *regexp.Regexp, minSpeedup, minPhasedFrac float64, enforceSpeedup bool, maxParity, minGuardSpeedup float64) bool {
+func comparePDES(rep *Report, re, speedRe, phasedRe *regexp.Regexp, minSpeedup, minPhasedFrac float64, enforceSpeedup bool, maxParity float64) bool {
 	byName := make(map[string]Benchmark, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		byName[b.Name] = b
@@ -694,27 +660,6 @@ func comparePDES(rep *Report, re, speedRe, phasedRe *regexp.Regexp, minSpeedup, 
 			pass = false
 			fmt.Fprintf(os.Stderr, "benchjson: %s events/op %.0f (parallel) != %.0f (serial) — the engines diverged\n",
 				c.Benchmark, c.ParallelEventsPerOp, c.SerialEventsPerOp)
-		}
-		// The guards=elided twin, when this workload ran one.
-		if el, ok := byName[parName+"/guards=elided"]; ok {
-			c.ElidedEventsPerSec = el.best("events/sec")
-			c.ElidedEventsPerOp = el.Metrics["events/op"]
-			c.ElidedAllocsPerOp = el.best("allocs/op")
-			match := c.ElidedEventsPerOp == c.SerialEventsPerOp
-			c.ElidedEventsMatch = &match
-			if !match {
-				pass = false
-				fmt.Fprintf(os.Stderr, "benchjson: %s guards=elided events/op %.0f != serial %.0f — a guard had an observable effect; the phasesafe proof is unsound\n",
-					c.Benchmark, c.ElidedEventsPerOp, c.SerialEventsPerOp)
-			}
-			if c.ParallelEventsPerSec > 0 {
-				c.GuardSpeedup = c.ElidedEventsPerSec / c.ParallelEventsPerSec
-			}
-			if enforceSpeedup && minGuardSpeedup > 0 && c.GuardSpeedup > 0 && c.GuardSpeedup < minGuardSpeedup {
-				pass = false
-				fmt.Fprintf(os.Stderr, "benchjson: %s guards=elided events/sec is %.1f%% of checked, below the %.0f%% floor\n",
-					c.Benchmark, 100*c.GuardSpeedup, 100*minGuardSpeedup)
-			}
 		}
 		// Collect the workers=N curve of this workload's parallel variants.
 		prefix := parName + "/workers="

@@ -63,8 +63,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -engine %q; known: serial, parallel\n", *engine)
 		os.Exit(2)
 	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "-workers %d must be positive (omit the flag for the engine default)\n", *workers)
+	if err := checkFlags(*nodes, *iters, *aspN, *aspNodes, *parallel, *workers); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -81,6 +81,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects numeric flag values no experiment can run with, naming
+// the flag, before anything is planned.
+func checkFlags(nodes, iters, aspN, aspNodes, parallel, workers int) error {
+	for _, f := range []struct {
+		name   string
+		v, min int
+		hint   string
+	}{
+		{"nodes", nodes, 1, ""},
+		{"iters", iters, 1, ""},
+		{"asp-n", aspN, 1, ""},
+		{"asp-nodes", aspNodes, 1, ""},
+		{"parallel", parallel, 0, " (0 = GOMAXPROCS)"},
+		{"workers", workers, 0, " (omit the flag for the engine default)"},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s %d must be at least %d%s", f.name, f.v, f.min, f.hint)
+		}
+	}
+	return nil
 }
 
 // runExperiments plans every experiment's jobs into one sweep, executes the

@@ -184,10 +184,7 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 	// when the message fits the fabric bypass (the inter-node allreduce in
 	// between runs unbracketed, with the non-leaders parked on node-local
 	// blackboard state).
-	// rbuf is sbuf-sized on every rank, so the second conjunct never changes
-	// the bracket decision; it is what bounds the phase-1 accumulator and
-	// the phase-3 fetch target for the phasesafe proof.
-	bracket := p.PhaseEligible(lcomm, sbuf.Len()) && p.PhaseEligible(lcomm, rbuf.Len())
+	bracket := p.PhaseEligible(lcomm, sbuf.Len())
 
 	// Phase 1: intra-node reduction to the leader (lcomm rank 0).
 	var acc *buffer.Buffer

@@ -61,11 +61,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		// it (collectively — every lcomm member, leader included) when the
 		// message fits the fabric bypass, so parallel windows run each
 		// node's binomial fold on its own worker.
-		// acc is nil off the leader and sbuf-sized on it, so the extra
-		// conjunct never changes the bracket decision; it is what bounds
-		// the fold's accumulator for the phasesafe proof.
-		bracket := p.PhaseEligible(lcomm, sbuf.Len()) &&
-			(acc == nil || p.PhaseEligible(lcomm, acc.Len()))
+		bracket := p.PhaseEligible(lcomm, sbuf.Len())
 		if bracket {
 			p.EnterNodePhase()
 		}

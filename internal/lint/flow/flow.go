@@ -247,15 +247,6 @@ func (fi *FuncInfo) Reaching(v *types.Var, pos token.Pos) *Def {
 	return &ds[i-1]
 }
 
-// DefsBefore returns every definition of v lexically before pos. Checkers
-// that must hold on all paths (phasesafe) use this instead of Reaching: a
-// value is proved only when each definition that could reach the use is.
-func (fi *FuncInfo) DefsBefore(v *types.Var, pos token.Pos) []Def {
-	ds := fi.defs[v]
-	i := sort.Search(len(ds), func(i int) bool { return ds[i].Pos >= pos })
-	return ds[:i]
-}
-
 // Local reports whether v is one of the function's tracked locals.
 func (fi *FuncInfo) Local(v *types.Var) bool { _, ok := fi.defs[v]; return ok }
 

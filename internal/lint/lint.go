@@ -101,7 +101,6 @@ var Analyzers = []*Analyzer{
 	ConfineAnalyzer,
 	AtomicFieldAnalyzer,
 	BracketAnalyzer,
-	PhasesafeAnalyzer,
 }
 
 // ByName returns the registered analyzer with that name, or nil.

@@ -67,11 +67,7 @@ func smReduceIntra(p *mpi.Proc, lcomm *mpi.Comm, a coll.ReduceArgs, sbuf, acc *b
 	if lcomm.Size() <= 1 {
 		return
 	}
-	// acc is nil off the leader and sbuf-sized on it, so the extra conjunct
-	// never changes the bracket decision; it is what bounds the fold's
-	// accumulator for the phasesafe proof.
-	bracket := p.PhaseEligible(lcomm, sbuf.Len()) &&
-		(acc == nil || p.PhaseEligible(lcomm, acc.Len()))
+	bracket := p.PhaseEligible(lcomm, sbuf.Len())
 	if bracket {
 		p.EnterNodePhase()
 	}

@@ -29,15 +29,7 @@ import (
 
 // EnterNodePhase declares that this rank, until ExitNodePhase, communicates
 // only within its own node. Node phases may not nest.
-//
-// Under GuardElided the entry resolves its caller against the phasesafe
-// manifest's proved regions: a proved caller runs the phase with the
-// per-message guards off (see guards.go), any other caller keeps them.
 func (p *Proc) EnterNodePhase() {
-	if p.world.elideRegion() {
-		p.elide = true
-		p.world.elidedPhases.Add(1)
-	}
 	p.dp.EnterConfined(int32(p.core.NodeID) + 1)
 }
 
@@ -46,7 +38,6 @@ func (p *Proc) EnterNodePhase() {
 // what lets a parallel window retire completely before the rank rejoins
 // global-domain traffic.
 func (p *Proc) ExitNodePhase() {
-	p.elide = false
 	p.dp.ExitConfined(p.world.Machine.Spec.NetLatency)
 }
 
@@ -72,12 +63,8 @@ func (p *Proc) PhaseEligible(c *Comm, n int64) bool {
 // destination must share the sender's node and the payload must stay under
 // both the eager threshold and the fabric bypass cutoff (larger copies
 // install fabric flows, which are global-domain state).
-// Inside a manifest-proved region (p.elide) both checks return
-// immediately: the static proof already discharged them, and they are pure
-// assertions with no virtual-time effect, so skipping them cannot change
-// the event log.
 func (p *Proc) confineCheckSend(target *Proc, size int64) {
-	if p.elide || !p.dp.Confined() {
+	if !p.dp.Confined() {
 		return
 	}
 	if target.core.NodeID != p.core.NodeID {
@@ -95,7 +82,7 @@ func (p *Proc) confineCheckSend(target *Proc, size int64) {
 // must be a rank of the sender's node, or a wildcard on a communicator
 // confined to this node.
 func (p *Proc) confineCheckRecv(c *Comm, srcWorld int) {
-	if p.elide || !p.dp.Confined() {
+	if !p.dp.Confined() {
 		return
 	}
 	if srcWorld == AnySource {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"sync/atomic"
 
 	"hierknem/internal/buffer"
 	"hierknem/internal/des"
@@ -99,15 +98,6 @@ type World struct {
 	// san is the attached hiersan runtime (nil when disabled — the
 	// default). See EnableSanitizer.
 	san *san.Sanitizer
-
-	// Guard elision (see guards.go): the mode, the set of manifest-proved
-	// region functions keyed by runtime name, and a count of node-phase
-	// entries that actually ran guard-free (atomic: bracketed ranks enter
-	// phases from parallel workers; the counter is observability only and
-	// never feeds simulation state).
-	guardMode    GuardMode
-	guardRegions map[string]bool
-	elidedPhases atomic.Int64
 }
 
 // Proc is one simulated MPI process. Collective and application code runs in
@@ -130,12 +120,6 @@ type Proc struct {
 	// the owning node's worker or under the serial coordinator.
 	envPool []*envelope // recycled send records (see envelope.refs)
 	poPool  []*posting  // recycled receive records (see posting.refs)
-
-	// elide is set between node-phase brackets whose enclosing function the
-	// phasesafe manifest proves confined: the per-message guards early-out
-	// on it. Written only by the rank's own event context (worker or
-	// coordinator), like the pools above.
-	elide bool
 }
 
 // NewWorld creates a world over machine m with np = binding.NP() ranks.
@@ -167,17 +151,6 @@ func NewWorld(m *topology.Machine, b *topology.Binding, conf Config) (*World, er
 	}
 	if n > 0 {
 		w.SetEngineWorkers(n)
-	}
-	gm, err := guardsEnv()
-	if err != nil {
-		return nil, err
-	}
-	if gm == GuardElided {
-		// Runs after EnableSanitizer above, so HIERSAN=1 silently keeps
-		// the world checked even under HIERKNEM_GUARDS=elide.
-		if err := w.SetGuardMode(GuardElided); err != nil {
-			return nil, err
-		}
 	}
 	return w, nil
 }
@@ -278,9 +251,6 @@ func (w *World) EnableSanitizer() *san.Sanitizer {
 	}
 	s := san.New(w.Machine.Eng.Now)
 	w.san = s
-	// The sanitizer exists to run every assertion: revoke guard elision.
-	w.guardMode = GuardChecked
-	w.guardRegions = nil
 	w.Machine.Eng.SetSanitizer(s)
 	w.Machine.Fab.SetSanitizer(s)
 	for _, d := range w.Knem {
@@ -311,7 +281,6 @@ func (w *World) Reset() {
 		p.dp = nil
 		p.posted.reset()
 		p.unexpected.reset()
-		p.elide = false // a run that panicked mid-phase must not leak elision
 	}
 	w.nextCtx = 0
 	w.worldComm = nil

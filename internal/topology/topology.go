@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"hierknem/internal/des"
 	"hierknem/internal/fabric"
@@ -41,7 +42,10 @@ type Spec struct {
 	EagerThreshold int64   // p2p eager/rendezvous switch (bytes)
 }
 
-// Validate reports the first problem with the spec.
+// Validate reports the first problem with the spec. Every float field must
+// be finite (NaN compares false against any bound, so it is rejected
+// explicitly); the three required bandwidths must be positive, and every
+// other numeric field non-negative, with 0 keeping its documented meaning.
 func (s *Spec) Validate() error {
 	switch {
 	case s.Nodes <= 0:
@@ -50,10 +54,34 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("topology: %s: SocketsPerNode = %d", s.Name, s.SocketsPerNode)
 	case s.CoresPerSocket <= 0:
 		return fmt.Errorf("topology: %s: CoresPerSocket = %d", s.Name, s.CoresPerSocket)
-	case s.MemBandwidth <= 0, s.CoreCopyBandwidth <= 0, s.NetBandwidth <= 0:
-		return fmt.Errorf("topology: %s: bandwidths must be positive", s.Name)
-	case s.NetLatency < 0 || s.ShmLatency < 0:
-		return fmt.Errorf("topology: %s: latencies must be non-negative", s.Name)
+	case s.L3Size < 0:
+		return fmt.Errorf("topology: %s: L3Size = %d, must be non-negative", s.Name, s.L3Size)
+	case s.EagerThreshold < 0:
+		return fmt.Errorf("topology: %s: EagerThreshold = %d, must be non-negative", s.Name, s.EagerThreshold)
+	}
+	for _, f := range []struct {
+		name     string
+		v        float64
+		positive bool
+	}{
+		{"MemBandwidth", s.MemBandwidth, true},
+		{"CoreCopyBandwidth", s.CoreCopyBandwidth, true},
+		{"NetBandwidth", s.NetBandwidth, true},
+		{"L3Bandwidth", s.L3Bandwidth, false},
+		{"L3TotalBandwidth", s.L3TotalBandwidth, false},
+		{"ShmLatency", s.ShmLatency, false},
+		{"NetLatency", s.NetLatency, false},
+		{"NetPerMsgCPU", s.NetPerMsgCPU, false},
+		{"BackplaneBW", s.BackplaneBW, false},
+	} {
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
+			return fmt.Errorf("topology: %s: %s = %g, must be finite", s.Name, f.name, f.v)
+		case f.positive && f.v <= 0:
+			return fmt.Errorf("topology: %s: %s = %g, must be positive", s.Name, f.name, f.v)
+		case f.v < 0:
+			return fmt.Errorf("topology: %s: %s = %g, must be non-negative", s.Name, f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -62,6 +64,53 @@ func TestBuildValidation(t *testing.T) {
 	bad.MemBandwidth = -1
 	if _, err := Build(bad); err == nil {
 		t.Fatal("Build accepted negative bandwidth")
+	}
+}
+
+// TestSpecValidateFields has one row per numeric field: a value Validate
+// must reject (naming the field), and for optional fields the zero that
+// keeps its documented meaning and must still pass.
+func TestSpecValidateFields(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		bad   func(*Spec)
+		zero  func(*Spec) // nil: 0 is not a valid value for the field
+	}{
+		{"Nodes", func(s *Spec) { s.Nodes = -1 }, nil},
+		{"SocketsPerNode", func(s *Spec) { s.SocketsPerNode = 0 }, nil},
+		{"CoresPerSocket", func(s *Spec) { s.CoresPerSocket = -2 }, nil},
+		{"MemBandwidth", func(s *Spec) { s.MemBandwidth = inf }, nil},
+		{"CoreCopyBandwidth", func(s *Spec) { s.CoreCopyBandwidth = 0 }, nil},
+		{"NetBandwidth", func(s *Spec) { s.NetBandwidth = nan }, nil},
+		{"L3Bandwidth", func(s *Spec) { s.L3Bandwidth = -1 }, func(s *Spec) { s.L3Bandwidth = 0 }},
+		{"L3TotalBandwidth", func(s *Spec) { s.L3TotalBandwidth = nan }, func(s *Spec) { s.L3TotalBandwidth = 0 }},
+		{"L3Size", func(s *Spec) { s.L3Size = -1 }, func(s *Spec) { s.L3Size = 0 }},
+		{"ShmLatency", func(s *Spec) { s.ShmLatency = -inf }, func(s *Spec) { s.ShmLatency = 0 }},
+		{"NetLatency", func(s *Spec) { s.NetLatency = nan }, func(s *Spec) { s.NetLatency = 0 }},
+		{"NetPerMsgCPU", func(s *Spec) { s.NetPerMsgCPU = -1e-6 }, func(s *Spec) { s.NetPerMsgCPU = 0 }},
+		{"BackplaneBW", func(s *Spec) { s.BackplaneBW = -1 }, func(s *Spec) { s.BackplaneBW = 0 }},
+		{"EagerThreshold", func(s *Spec) { s.EagerThreshold = -1 }, func(s *Spec) { s.EagerThreshold = 0 }},
+	}
+	for _, c := range cases {
+		t.Run(c.field, func(t *testing.T) {
+			s := testSpec(2, 2, 2)
+			c.bad(&s)
+			err := s.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted bad %s", c.field)
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("error %q does not name %s", err, c.field)
+			}
+			if c.zero != nil {
+				s := testSpec(2, 2, 2)
+				c.zero(&s)
+				if err := s.Validate(); err != nil {
+					t.Fatalf("Validate rejected %s = 0: %v", c.field, err)
+				}
+			}
+		})
 	}
 }
 

@@ -39,16 +39,18 @@ type fuzzOp struct {
 }
 
 // decodePDESPlan turns fuzz bytes into a cluster shape, a collective
-// personality, a phase worker count, a guard mode and a program. Every
-// decoded plan is valid by construction, so a divergence is an engine bug,
-// not an ill-formed input. The worker byte's low bits pick the count, its
-// middle bits the personality (0 hierknem, 1 hierarch, 2 mvapich2) — all
-// three bracket their node-confined stretches, with different leader
-// topologies — and its high bit the guard mode, so the parallel run
-// executes with the per-message confinement guards elided under the fresh
-// phasesafe manifest while the serial reference stays fully checked: log
-// identity then covers both the engine and the elision machinery.
-func decodePDESPlan(data []byte) (nodes, ppn, workers, pers int, elide bool, ops []fuzzOp) {
+// personality, a phase worker count and a program. Every decoded plan is
+// valid by construction, so a divergence is an engine bug, not an ill-formed
+// input. Byte layout:
+//
+//	data[0]       nodes = 2 + data[0]%3
+//	data[1]       ppn   = 2 + data[1]%3
+//	data[2]       workers = 1 + data[2]%8; personality = data[2]/8%3
+//	              (0 hierknem, 1 hierarch, 2 mvapich2 — all three bracket
+//	              their node-confined stretches, with different leader
+//	              topologies; values from 24 up wrap the personality)
+//	data[3:]      (kind, size/root) byte pairs, at most fuzzMaxOps ops
+func decodePDESPlan(data []byte) (nodes, ppn, workers, pers int, ops []fuzzOp) {
 	nodes, ppn = 2, 2
 	if len(data) > 0 {
 		nodes = 2 + int(data[0])%3 // 2..4
@@ -59,7 +61,6 @@ func decodePDESPlan(data []byte) (nodes, ppn, workers, pers int, elide bool, ops
 	if len(data) > 2 {
 		workers = 1 + int(data[2])%8 // 1..8; 0 (short input) = engine default
 		pers = int(data[2]) / 8 % 3
-		elide = int(data[2])/24%2 == 1
 	}
 	np := nodes * ppn
 	for i := 3; i+1 < len(data) && len(ops) < fuzzMaxOps; i += 2 {
@@ -71,14 +72,13 @@ func decodePDESPlan(data []byte) (nodes, ppn, workers, pers int, elide bool, ops
 			root: int(data[i+1]) % np,
 		})
 	}
-	return nodes, ppn, workers, pers, elide, ops
+	return nodes, ppn, workers, pers, ops
 }
 
 // runPDESPlan executes the program on a fresh world in the given mode (and,
-// when workers > 0, worker count; with confinement guards elided when elide
-// is set) and returns its event log (per-rank hex completion times per op,
-// final clock, processed count).
-func runPDESPlan(t *testing.T, nodes, ppn, workers, pers int, elide bool, ops []fuzzOp, mode hierknem.EngineMode) []string {
+// when workers > 0, worker count) and returns its event log (per-rank hex
+// completion times per op, final clock, processed count).
+func runPDESPlan(t *testing.T, nodes, ppn, workers, pers int, ops []fuzzOp, mode hierknem.EngineMode) []string {
 	t.Helper()
 	spec := hierknem.Stremi(nodes)
 	w, err := hierknem.NewWorldPPN(spec, ppn)
@@ -88,11 +88,6 @@ func runPDESPlan(t *testing.T, nodes, ppn, workers, pers int, elide bool, ops []
 	w.SetEngineMode(mode)
 	if workers > 0 {
 		w.SetEngineWorkers(workers)
-	}
-	if elide {
-		if err := w.SetGuardMode(hierknem.GuardElided); err != nil {
-			t.Fatal(err)
-		}
 	}
 	var mod hierknem.Module
 	switch pers {
@@ -244,21 +239,16 @@ func FuzzPDESDiff(f *testing.F) {
 	f.Add([]byte{1, 1, 10, 0, 3, 1, 4, 2, 2})             // 3x3, 3 workers, hierarch: bracketed small bcast/reduce/allgather
 	f.Add([]byte{0, 2, 19, 0, 2, 4, 1, 0, 5})             // 2x4, 4 workers, mvapich2: small bcast, node-phase rounds, 2KB bcast
 	f.Add([]byte{2, 2, 12, 0, 1, 6, 0, 1, 2, 3, 0})       // 4x4, 5 workers, hierarch: small bcast, mixed window, reduce, barrier
-	// Guard-elision seeds (worker byte >= 24): the parallel run elides the
-	// proved regions' guards under a fresh manifest, at payloads adjacent to
-	// both cutoffs — 2KB rides the bracketed path, 4KB sits exactly at the
-	// eager/fabric cutoff so its collectives must stay unbracketed.
-	f.Add([]byte{0, 0, 25, 0, 5, 1, 5, 4, 2}) // 2x2, 2 workers, hierknem elided: 2KB bcast, 2KB reduce, node-phase rounds
-	f.Add([]byte{1, 1, 33, 0, 6, 6, 1, 1, 5}) // 3x3, 2 workers, hierarch elided: 4KB bcast (at cutoff), mixed window, 2KB reduce
-	f.Add([]byte{2, 0, 43, 0, 5, 4, 6, 0, 6}) // 4x2, 4 workers, mvapich2 elided: 2KB bcast, node rounds, 4KB bcast
+	// Cutoff-adjacent seeds: 2KB rides the bracketed path, 4KB sits exactly
+	// at the eager/fabric cutoff so its collectives must stay unbracketed.
+	f.Add([]byte{0, 0, 25, 0, 5, 1, 5, 4, 2}) // 2x2, 2 workers, hierknem: 2KB bcast, 2KB reduce, node-phase rounds
+	f.Add([]byte{1, 1, 33, 0, 6, 6, 1, 1, 5}) // 3x3, 2 workers, hierarch: 4KB bcast (at cutoff), mixed window, 2KB reduce
+	f.Add([]byte{2, 0, 43, 0, 5, 4, 6, 0, 6}) // 4x2, 4 workers, mvapich2: 2KB bcast, node rounds, 4KB bcast
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		nodes, ppn, workers, pers, elide, ops := decodePDESPlan(data)
-		if elide {
-			ensureManifest(t)
-		}
-		want := runPDESPlan(t, nodes, ppn, 0, pers, false, ops, hierknem.EngineSerial)
-		got := runPDESPlan(t, nodes, ppn, workers, pers, elide, ops, hierknem.EngineParallel)
-		diffLogs(t, fmt.Sprintf("pdes diff %dx%d w%d p%d elide=%v %v", nodes, ppn, workers, pers, elide, ops), want, got)
+		nodes, ppn, workers, pers, ops := decodePDESPlan(data)
+		want := runPDESPlan(t, nodes, ppn, 0, pers, ops, hierknem.EngineSerial)
+		got := runPDESPlan(t, nodes, ppn, workers, pers, ops, hierknem.EngineParallel)
+		diffLogs(t, fmt.Sprintf("pdes diff %dx%d w%d p%d %v", nodes, ppn, workers, pers, ops), want, got)
 	})
 }

@@ -98,11 +98,11 @@ func TestNodePhaseHexIdenticalAcrossWorkers(t *testing.T) {
 // TestNodePhaseConfinementEnforced pins the loud-failure contract: a
 // bracketed rank that reaches across its node gets a typed
 // *des.CausalityError (Op "confine") at the call site, not a silent
-// divergence or an anonymous string panic — the PDES harness and the
-// guard-elision machinery both key on the type. Every guard fires before
-// any matching or fabric state mutates, so the rank recovers in place and
-// exits its phase cleanly. The guards are mode-independent — this runs
-// under the serial engine and protects the parallel one.
+// divergence or an anonymous string panic — the PDES harness keys on the
+// type. Every guard fires before any matching or fabric state mutates, so
+// the rank recovers in place and exits its phase cleanly. The guards are
+// mode-independent — this runs under the serial engine and protects the
+// parallel one.
 func TestNodePhaseConfinementEnforced(t *testing.T) {
 	run := func(name string, body func(p *mpi.Proc, c *mpi.Comm)) {
 		t.Run(name, func(t *testing.T) {
@@ -110,32 +110,7 @@ func TestNodePhaseConfinementEnforced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var recovered interface{}
-			err = w.Run(func(p *mpi.Proc) {
-				if p.Rank() != 0 {
-					return
-				}
-				c := w.WorldComm()
-				p.EnterNodePhase()
-				func() {
-					defer func() { recovered = recover() }()
-					body(p, c)
-				}()
-				p.ExitNodePhase()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if recovered == nil {
-				t.Fatalf("%s inside a node phase did not panic", name)
-			}
-			ce, ok := recovered.(*des.CausalityError)
-			if !ok {
-				t.Fatalf("%s panicked with %T (%v), want *des.CausalityError", name, recovered, recovered)
-			}
-			if ce.Op != des.OpConfine {
-				t.Fatalf("%s panicked with Op %q, want %q", name, ce.Op, des.OpConfine)
-			}
+			assertConfineTrap(t, w, name, body)
 		})
 	}
 	run("cross-node send", func(p *mpi.Proc, c *mpi.Comm) {
@@ -151,6 +126,104 @@ func TestNodePhaseConfinementEnforced(t *testing.T) {
 	run("split", func(p *mpi.Proc, c *mpi.Comm) {
 		p.NodeComm().Split(p, 0, 0)
 	})
+}
+
+// assertConfineTrap runs body on rank 0 inside a node phase of w and
+// requires it to panic with a typed *des.CausalityError{Op: OpConfine}.
+func assertConfineTrap(t *testing.T, w *hierknem.World, name string, body func(p *mpi.Proc, c *mpi.Comm)) {
+	t.Helper()
+	var recovered interface{}
+	err := w.Run(func(p *mpi.Proc) {
+		if p.Rank() != 0 {
+			return
+		}
+		c := w.WorldComm()
+		p.EnterNodePhase()
+		func() {
+			defer func() { recovered = recover() }()
+			body(p, c)
+		}()
+		p.ExitNodePhase()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered == nil {
+		t.Fatalf("%s inside a node phase did not panic", name)
+	}
+	ce, ok := recovered.(*des.CausalityError)
+	if !ok {
+		t.Fatalf("%s panicked with %T (%v), want *des.CausalityError", name, recovered, recovered)
+	}
+	if ce.Op != des.OpConfine {
+		t.Fatalf("%s panicked with Op %q, want %q", name, ce.Op, des.OpConfine)
+	}
+}
+
+// TestGuardElideRefusals pins that the confinement guards cannot be
+// switched off: guard elision is retired, so a world built under the
+// parallel engine, with or without the hiersan sanitizer, traps a
+// cross-node send inside a node phase exactly as the serial engine does.
+func TestGuardElideRefusals(t *testing.T) {
+	crossNode := func(p *mpi.Proc, c *mpi.Comm) {
+		p.Send(c, phantomPerRank(1, 64)[0], c.Size()-1, 7)
+	}
+	newWorld := func(t *testing.T) *hierknem.World {
+		t.Helper()
+		w, err := hierknem.NewWorldPPN(isoSpec(), isoPPN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetEngineMode(hierknem.EngineParallel)
+		w.SetEngineWorkers(2)
+		return w
+	}
+
+	t.Run("hiersan forces checked", func(t *testing.T) {
+		t.Setenv("HIERSAN", "1")
+		w := newWorld(t)
+		if w.Sanitizer() == nil {
+			t.Fatal("HIERSAN=1 world has no sanitizer attached")
+		}
+		assertConfineTrap(t, w, "cross-node send", crossNode)
+	})
+
+	t.Run("checked is the default", func(t *testing.T) {
+		assertConfineTrap(t, newWorld(t), "cross-node send", crossNode)
+	})
+}
+
+// TestGuardElisionHexIdentical pins the phased hot path with every guard
+// live and the hiersan sanitizer attached: for each bracketed personality
+// the parallel engine must commit a log hex-identical to the bare serial
+// reference at workers 1, 2, 4 and 8, with no sanitizer violation.
+func TestGuardElisionHexIdentical(t *testing.T) {
+	for _, mod := range phasedPersonalities() {
+		mod := mod
+		t.Run(mod.Name(), func(t *testing.T) {
+			want := personalityLog(t, mod, hierknem.EngineSerial, 0)
+			for _, workers := range []int{1, 2, 4, 8} {
+				w, err := hierknem.NewWorldPPN(isoSpec(), isoPPN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := w.EnableSanitizer()
+				var violations []string
+				s.SetOnViolation(func(msg string) { violations = append(violations, msg) })
+				w.SetEngineMode(hierknem.EngineParallel)
+				w.SetEngineWorkers(workers)
+				var got []string
+				smallCollectiveProg(w, mod, &got)
+				if len(violations) > 0 {
+					t.Fatalf("%s at workers=%d: sanitizer violations %q", mod.Name(), workers, violations)
+				}
+				if ws := w.Machine.Eng.WindowStats(); workers >= 2 && ws.Phases == 0 {
+					t.Fatalf("%s executed no parallel phases at workers=%d (stats %+v)", mod.Name(), workers, ws)
+				}
+				diffLogs(t, fmt.Sprintf("%s/sanitized/workers=%d", mod.Name(), workers), want, got)
+			}
+		})
+	}
 }
 
 // TestPDESScale100xNodePhase is the 100x-paper-scale smoke: 3200 nodes at

@@ -24,18 +24,10 @@
 #
 #   4. BenchmarkPDES* (conservative parallel DES engine): the Fig3a 768-rank
 #      broadcast (swept over 2KB and 64KB) and the NodeLocal 768-rank
-#      bracketed workload, each run under mode=serial, mode=parallel, a
-#      workers={1,2,4} curve and mode=parallel/guards=elided (per-message
-#      confinement guards elided inside phasesafe-proved regions; the suite
-#      emits a fresh manifest first so the variant never trips the
-#      fail-closed staleness check). events/op must agree exactly between
-#      serial and every parallel variant, elided included (always enforced —
-#      the parallel engine promises a hex-identical event log, and elision
-#      removes assertions, not events); the elided variant's events/sec must
-#      stay >= MIN_GUARD_SPEEDUP x the checked parallel twin's on >=4-core
-#      hosts (waived below, like the other throughput bars), with the
-#      measured guard_speedup recorded in the document; the workers=1
-#      degenerate engine
+#      bracketed workload, each run under mode=serial, mode=parallel and a
+#      workers={1,2,4} curve. events/op must agree exactly between serial
+#      and every parallel variant (always enforced — the parallel engine
+#      promises a hex-identical event log); the workers=1 degenerate engine
 #      must stay within 10% of serial events/sec and allocs/op on every host
 #      (best-of-count values, so the bar measures engine overhead rather
 #      than scheduler noise); the bracketed workloads (the 2KB Fig3a point
@@ -73,9 +65,6 @@
 #                    events/sec and allocs/op, every host (default 0.10)
 #   MIN_PHASED_FRAC  enforced phased-window fraction on bracketed workloads
 #                    at >=4 cores (default 0.5; nonzero binds on every host)
-#   MIN_GUARD_SPEEDUP  floor on guards=elided events/sec relative to the
-#                    checked parallel twin at >=4 cores (default 0.95; the
-#                    events/op identity bar always binds)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,13 +137,6 @@ go run ./cmd/benchjson \
 # comparison could pit one band against the other. Fresh interleaved passes
 # give every variant one sample per band; best-of-pass then compares like
 # with like. (The DES baseline was recorded the same way.)
-# The guards=elided variant refuses to run without a fresh phasesafe
-# manifest (fail-closed: see internal/phasesafe). Emit one up front from the
-# current tree so the PDES passes measure elision rather than re-running the
-# analyzers inside the first pass's timing window.
-echo "==> hierlint -manifest (phasesafe proof for the guards=elided variant)"
-go run ./cmd/hierlint -manifest ./...
-
 echo "==> go test -bench BenchmarkPDES (${PDES_COUNT:-3} interleaved passes, GOGC=$GOGC)"
 : > results/bench_pdes.txt
 for rep in $(seq "${PDES_COUNT:-3}"); do
@@ -169,7 +151,6 @@ go run ./cmd/benchjson \
     -min-pdes-speedup "${MIN_PDES_SPEEDUP:-2}" \
     -max-parity-overhead "${MAX_PDES_PARITY:-0.10}" \
     -min-phased-fraction "${MIN_PHASED_FRAC:-0.5}" \
-    -min-guard-speedup "${MIN_GUARD_SPEEDUP:-0.95}" \
     -enforce 'Fig3a|NodeLocal' \
     -enforce-speedup 'NodeLocal' \
     -enforce-phased 'Fig3a.*size=2KB|NodeLocal' \
