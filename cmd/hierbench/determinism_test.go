@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +79,44 @@ func TestExperimentsDeterministic(t *testing.T) {
 					id, first, second)
 			}
 		})
+	}
+}
+
+// TestExperimentsGolden pins the absolute output of the whole evaluation at
+// tinyCfg against testdata/tiny.golden. TestExperimentsDeterministic only
+// proves a run agrees with itself; this test fails when a model constant,
+// a calibration or an algorithm's schedule drifts. The golden is the stdout
+// of the equivalent command line:
+//
+//	go run ./cmd/hierbench -exp all -nodes 2 -iters 1 -asp-n 128 -asp-nodes 2 > cmd/hierbench/testdata/tiny.golden
+//
+// Regenerate it only for a change that is meant to move the numbers, and
+// say which numbers moved and why.
+func TestExperimentsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/tiny.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := captureStdout(t, func() {
+		if err := runExperiments(experimentIDs(), tinyCfg, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("output differs from testdata/tiny.golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
 	}
 }
 
