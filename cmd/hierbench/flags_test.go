@@ -8,8 +8,8 @@ import (
 // TestCheckFlags pins each numeric flag's lower bound: the value just below
 // it is rejected with an error naming the flag, and the bound itself passes.
 func TestCheckFlags(t *testing.T) {
-	// nodes, iters, asp-n, asp-nodes, parallel, workers
-	ok := [6]int{1, 1, 1, 1, 0, 0}
+	// nodes, iters, asp-n, asp-nodes, parallel
+	ok := [5]int{1, 1, 1, 1, 0}
 	cases := []struct {
 		flag string
 		idx  int
@@ -21,9 +21,8 @@ func TestCheckFlags(t *testing.T) {
 		{"-asp-n", 2, -5},
 		{"-asp-nodes", 3, 0},
 		{"-parallel", 4, -1},
-		{"-workers", 5, -1},
 	}
-	check := func(v [6]int) error { return checkFlags(v[0], v[1], v[2], v[3], v[4], v[5]) }
+	check := func(v [5]int) error { return checkFlags(v[0], v[1], v[2], v[3], v[4]) }
 	if err := check(ok); err != nil {
 		t.Fatalf("checkFlags rejected the lower bounds: %v", err)
 	}

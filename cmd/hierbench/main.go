@@ -34,12 +34,10 @@ import (
 )
 
 type config struct {
-	nodes      int
-	iters      int
-	aspN       int
-	aspDim     int // nodes used for the ASP study
-	engMode    hierknem.EngineMode
-	engWorkers int
+	nodes  int
+	iters  int
+	aspN   int
+	aspDim int // nodes used for the ASP study
 }
 
 func main() {
@@ -49,26 +47,14 @@ func main() {
 	aspN := flag.Int("asp-n", 2048, "ASP matrix dimension (paper: 16384/32768)")
 	aspNodes := flag.Int("asp-nodes", 8, "nodes for the ASP study (paper: 32)")
 	parallel := flag.Int("parallel", 0, "concurrent data-point simulations (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "serial", "DES engine mode: serial (reference) or parallel (conservative windows)")
-	workers := flag.Int("workers", 0, "in-window phase workers per simulation under -engine parallel (0 = engine default, 1 = degenerate fast path)")
 	flag.Parse()
 
-	var engMode hierknem.EngineMode
-	switch *engine {
-	case "serial":
-		engMode = hierknem.EngineSerial
-	case "parallel":
-		engMode = hierknem.EngineParallel
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -engine %q; known: serial, parallel\n", *engine)
-		os.Exit(2)
-	}
-	if err := checkFlags(*nodes, *iters, *aspN, *aspNodes, *parallel, *workers); err != nil {
+	if err := checkFlags(*nodes, *iters, *aspN, *aspNodes, *parallel); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	cfg := config{nodes: *nodes, iters: *iters, aspN: *aspN, aspDim: *aspNodes, engMode: engMode, engWorkers: *workers}
+	cfg := config{nodes: *nodes, iters: *iters, aspN: *aspN, aspDim: *aspNodes}
 
 	ids := []string{*exp}
 	if *exp == "all" {
@@ -85,7 +71,7 @@ func main() {
 
 // checkFlags rejects numeric flag values no experiment can run with, naming
 // the flag, before anything is planned.
-func checkFlags(nodes, iters, aspN, aspNodes, parallel, workers int) error {
+func checkFlags(nodes, iters, aspN, aspNodes, parallel int) error {
 	for _, f := range []struct {
 		name   string
 		v, min int
@@ -96,7 +82,6 @@ func checkFlags(nodes, iters, aspN, aspNodes, parallel, workers int) error {
 		{"asp-n", aspN, 1, ""},
 		{"asp-nodes", aspNodes, 1, ""},
 		{"parallel", parallel, 0, " (0 = GOMAXPROCS)"},
-		{"workers", workers, 0, " (omit the flag for the engine default)"},
 	} {
 		if f.v < f.min {
 			return fmt.Errorf("-%s %d must be at least %d%s", f.name, f.v, f.min, f.hint)
@@ -111,8 +96,6 @@ func checkFlags(nodes, iters, aspN, aspNodes, parallel, workers int) error {
 // parallel output byte-identical to serial.
 func runExperiments(ids []string, cfg config, parallel int, progress io.Writer) error {
 	s := sweep.New("hierbench", parallel, progress)
-	s.SetEngineMode(cfg.engMode)
-	s.SetEngineWorkers(cfg.engWorkers)
 	renders := make([]func(), 0, len(ids))
 	for _, id := range ids {
 		renders = append(renders, experiments[id](cfg, s))

@@ -4,8 +4,9 @@
 // Isend/Irecv requests, discarded module-API errors, payload buffers
 // shared with unsynchronized goroutines, free-list allocations that never
 // reach a release, point-to-point tags outside their algorithm's reserved
-// range, and the hierflow PDES preconditions (vtmono, confine,
-// atomicfield — see internal/lint/flow).
+// range, virtual time scheduled from stale or subtracted now reads
+// (vtmono), unguarded struct fields shared across goroutines
+// (atomicfield) and unbalanced node-phase brackets (bracket).
 //
 // Usage:
 //

@@ -28,7 +28,6 @@ import (
 	"hierknem/internal/clusters"
 	"hierknem/internal/coll"
 	"hierknem/internal/core"
-	"hierknem/internal/des"
 	"hierknem/internal/imb"
 	"hierknem/internal/modules"
 	"hierknem/internal/mpi"
@@ -63,22 +62,6 @@ type (
 	ASPResult = asp.Result
 	// ReduceArgs bundle the reduction operator and datatype.
 	ReduceArgs = coll.ReduceArgs
-	// EngineMode selects the DES engine organization (see World.SetEngineMode).
-	EngineMode = des.EngineMode
-)
-
-// Engine modes: the serial reference, and the conservative parallel mode
-// that stages per-node event queues inside bounded virtual-time windows —
-// and, when a window's runnable events are all node-confined, executes the
-// nodes on concurrent workers — while keeping the event log bit-identical
-// to serial. The worker count is tuned with World.SetEngineWorkers or the
-// HIERKNEM_WORKERS environment variable; 1 selects a degenerate engine with
-// no window machinery at all (the small-host fast path). In both modes every
-// message sent inside a node phase passes the always-on confinement guards,
-// which panic with a typed CausalityError when it would leave the node.
-const (
-	EngineSerial   = des.ModeSerial
-	EngineParallel = des.ModeParallel
 )
 
 // Cluster presets from the paper's evaluation (Grid'5000).

@@ -10,8 +10,6 @@
 package clusters
 
 import (
-	"fmt"
-
 	"hierknem/internal/core"
 	"hierknem/internal/modules"
 	"hierknem/internal/mpi"
@@ -121,7 +119,7 @@ func NewWorld(spec topology.Spec, binding string, np int) (*mpi.World, error) {
 	case "bynode":
 		b, err = topology.ByNode(m, np)
 	default:
-		return nil, fmt.Errorf("clusters: unknown binding %q", binding)
+		return nil, topology.Errorf("clusters: unknown binding %q", binding)
 	}
 	if err != nil {
 		return nil, err

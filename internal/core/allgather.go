@@ -114,7 +114,7 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 	recvIdx := func(s int) int { return (me - s - 1 + 2*nodes) % nodes }
 
 	// Step 1 — every local rank pushing its block into the leader's rbuf —
-	// is node-confined: bracket it collectively when blocks fit the fabric
+	// is node-local: bracket it collectively when blocks fit the fabric
 	// bypass. Steps 2-3 interleave the leader's inter-node ring with the
 	// non-leaders' pulls of whole node blocks, so they stay unbracketed.
 	bracket := p.PhaseEligible(lcomm, block)

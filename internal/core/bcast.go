@@ -183,14 +183,12 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 
 // bcastSmall is the single-segment Bcast restructured for node-phase
 // bracketing. The general path interleaves inter-node forwarding with lcomm
-// barriers, which pins every rank of the node to the leader's global-domain
+// barriers, which ties every rank of the node to the leader's inter-node
 // traffic; with one segment that interleaving buys nothing, so the leader
 // first completes all inter-node forwarding, then the whole node — leader
 // and non-leaders together, as the bracket placement rule requires — runs
-// the KNEM linear fan-out inside EnterNodePhase/ExitNodePhase. Under the
-// parallel engine each node's fan-out executes on its own worker; the serial
-// engine treats the brackets as annotation plus the exit latency, keeping
-// the two logs hex-identical.
+// the KNEM linear fan-out inside EnterNodePhase/ExitNodePhase, paying the
+// bracket's exit latency.
 func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer, key string, spec *topology.Spec) {
 	lcomm := hy.LComm
 	if hy.IsLeader {
@@ -211,7 +209,7 @@ func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer,
 		}
 	}
 
-	// Node-confined intra-node fan-out: the leader registers the message and
+	// Node-local intra-node fan-out: the leader registers the message and
 	// publishes the cookie; every non-leader fetches it whole with a
 	// one-sided get. One barrier fences the fetches before deregistration
 	// (BBWait already orders each fetch after the post).

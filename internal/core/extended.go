@@ -39,7 +39,7 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 	// block slot from the comm rank, which uniformContiguous guarantees.)
 	pos := int64(c.Rank(p) % lcomm.Size())
 
-	// The intra-node pull phase is node-confined: bracket it collectively
+	// The intra-node pull phase is node-local: bracket it collectively
 	// when per-rank blocks fit the fabric bypass. The leader enters after
 	// its inter-node scatter; non-leaders enter immediately (they only park
 	// on node-local state until the leader publishes the cookie).
@@ -114,7 +114,7 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 	key := "hkgather/" + strconv.Itoa(lcomm.Seq(p))
 	pos := int64(c.Rank(p) % lcomm.Size())
 
-	// The intra-node push phase is node-confined: bracket it collectively
+	// The intra-node push phase is node-local: bracket it collectively
 	// when per-rank blocks fit the fabric bypass. The leader exits before
 	// its inter-node gather.
 	bracket := p.PhaseEligible(lcomm, block)
@@ -180,7 +180,7 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 	spec := &p.World().Machine.Spec
 	key := "hkallreduce/" + strconv.Itoa(lcomm.Seq(p))
 
-	// Both intra-node phases are node-confined: bracket each collectively
+	// Both intra-node phases are node-local: bracket each collectively
 	// when the message fits the fabric bypass (the inter-node allreduce in
 	// between runs unbracketed, with the non-leaders parked on node-local
 	// blackboard state).

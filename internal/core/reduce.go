@@ -57,10 +57,9 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 				acc = scratchLike(sbuf, sbuf.Len())
 			}
 		}
-		// The intra-node reduction to the leader is node-confined: bracket
-		// it (collectively — every lcomm member, leader included) when the
-		// message fits the fabric bypass, so parallel windows run each
-		// node's binomial fold on its own worker.
+		// The intra-node reduction to the leader is node-local: bracket it
+		// (collectively — every lcomm member, leader included) when the
+		// message fits the fabric bypass.
 		bracket := p.PhaseEligible(lcomm, sbuf.Len())
 		if bracket {
 			p.EnterNodePhase()

@@ -15,13 +15,6 @@ import (
 // Merges are eager (a new flow bridging components absorbs the smaller into
 // the larger); splits are lazy (a removal marks splitFlag and the next sync
 // re-partitions the component with a local union-find).
-//
-// The hierflow marker makes each component a confinement domain: the
-// confine analyzer proves no state leaks between components outside the
-// //hierflow:sync membership APIs — the static precondition for giving
-// every component its own event queue under conservative PDES.
-//
-//hierflow:component
 type component struct {
 	id    uint64
 	cpos  int // position in Net.comps
@@ -34,38 +27,10 @@ type component struct {
 	dirtyFlag bool // queued for recompute at the next sync
 	splitFlag bool // membership may have fragmented (a flow left)
 	dead      bool // absorbed or destroyed; skip if found in the dirty queue
-
-	// dom folds the member resources' PDES domains: -1 while no resource
-	// joined, the common domain while all members agree, 0 (global) once
-	// the component spans domains. Tags the completion timer so it stages
-	// under the right per-domain queue in parallel mode.
-	dom int32
-}
-
-// mergeDom folds two domain tags: unset adopts the other side, agreement
-// keeps the domain, conflict collapses to the global domain 0.
-func mergeDom(a, b int32) int32 {
-	switch {
-	case a < 0:
-		return b
-	case b < 0 || a == b:
-		return a
-	default:
-		return 0
-	}
-}
-
-// domTag is the component's domain for event tagging: the folded domain,
-// or the global domain while unset (e.g. a pathless, rate-capped flow).
-func (c *component) domTag() int32 {
-	if c.dom < 0 {
-		return 0
-	}
-	return c.dom
 }
 
 func (n *Net) newComponent() *component {
-	c := &component{id: n.nextCompID, cpos: len(n.comps), dom: -1}
+	c := &component{id: n.nextCompID, cpos: len(n.comps)}
 	n.nextCompID++
 	n.comps = append(n.comps, c)
 	if len(n.comps) > n.stats.PeakComponents {
@@ -130,7 +95,6 @@ func (n *Net) attach(f *Flow) {
 			r.ridx = len(target.res)
 			r.since = now
 			target.res = append(target.res, r)
-			target.dom = mergeDom(target.dom, r.dom)
 		}
 	}
 	f.comp = target
@@ -140,12 +104,8 @@ func (n *Net) attach(f *Flow) {
 }
 
 // absorb merges component b into a (caller picks a as the larger side).
-//
-//hierflow:sync designated membership transfer: the merge retargets every flow and resource of b onto a and kills b, under the engine's single-threaded sync — the one place cross-component stores are the point
 func (n *Net) absorb(a, b *component) {
 	n.stats.Merges++
-	n.epoch++
-	a.dom = mergeDom(a.dom, b.dom)
 	for _, f := range b.flows {
 		f.comp = a
 		f.cidx = len(a.flows)
@@ -278,7 +238,6 @@ func (n *Net) repartition(c *component) []*component {
 	}
 
 	n.stats.Splits++
-	n.epoch++
 	type grp struct {
 		flows []*Flow
 		res   []*Resource
@@ -314,9 +273,6 @@ func (n *Net) repartition(c *component) []*component {
 		}
 		p.flows = g.flows
 		p.res = g.res
-		// Re-fold the part's domain from scratch: a split may leave a
-		// formerly cross-domain component entirely inside one domain.
-		p.dom = -1
 		for i, f := range g.flows {
 			f.comp = p
 			f.cidx = i
@@ -324,7 +280,6 @@ func (n *Net) repartition(c *component) []*component {
 		for i, r := range g.res {
 			r.comp = p
 			r.ridx = i
-			p.dom = mergeDom(p.dom, r.dom)
 		}
 		parts = append(parts, p)
 	}
@@ -332,21 +287,14 @@ func (n *Net) repartition(c *component) []*component {
 }
 
 // fill assigns max-min fair rates to the component's flows by progressive
-// filling; see fillInto.
-func (n *Net) fill(c *component) { n.fillInto(c, &n.stats) }
-
-// fillInto is the progressive-filling pass: raise every unfrozen flow's
-// rate uniformly until a flow hits its cap or a resource saturates; freeze
-// those and repeat. The result is a pure function of the component's
-// membership: every step is a min over a set or an independent per-element
-// update, so iteration order cannot change the outcome — the property the
-// incremental/global equivalence rests on. It touches only c's own flows
-// and resources, so the phased sync can fill disjoint components on
-// concurrent workers; st receives the work counters (the worker's private
-// struct in that case, merged afterwards — the counters are sums, so the
-// totals come out identical to a serial pass).
-func (n *Net) fillInto(c *component, st *RecomputeStats) {
+// filling: raise every unfrozen flow's rate uniformly until a flow hits its
+// cap or a resource saturates; freeze those and repeat. The result is a pure
+// function of the component's membership: every step is a min over a set or
+// an independent per-element update, so iteration order cannot change the
+// outcome — the property the incremental/global equivalence rests on.
+func (n *Net) fill(c *component) {
 	now := n.eng.Now()
+	st := &n.stats
 	st.Fills++
 	for _, r := range c.res {
 		r.integrate(now)

@@ -182,7 +182,10 @@ func TestRegisterWrongNodePanics(t *testing.T) {
 func TestConcurrentGetsAreOneSided(t *testing.T) {
 	m := testMachine(t, 1)
 	d := NewDevice(m, 0)
-	src := buffer.NewReal(make([]byte, 120))
+	// At or above shm.SmallCopyCutoff, so every get installs a fabric flow
+	// and the three contend for the bus.
+	const n = 4200
+	src := buffer.NewReal(make([]byte, n))
 	ck := d.Register(src, m.Core(0), RightRead)
 
 	ownerFreeAt := -1.0
@@ -194,7 +197,7 @@ func TestConcurrentGetsAreOneSided(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		core := m.Core(i)
 		m.Eng.Spawn("reader", func(p *des.Proc) {
-			dst := buffer.NewReal(make([]byte, 120))
+			dst := buffer.NewReal(make([]byte, n))
 			if err := d.Get(p, core, ck, 0, dst); err != nil {
 				t.Error(err)
 			}
@@ -208,9 +211,9 @@ func TestConcurrentGetsAreOneSided(t *testing.T) {
 		t.Fatalf("owner blocked until %g", ownerFreeAt)
 	}
 	// 3 same-socket copies, each double-charging the 100 B/s bus: 6 shares
-	// -> 16.67 B/s each; 120 bytes -> 7.2 s + 0.5 latency.
-	if math.Abs(last-7.7) > 1e-9 {
-		t.Fatalf("concurrent gets done at %g, want 7.7", last)
+	// -> 16.67 B/s each; 4200 bytes -> 252 s + 0.5 latency.
+	if math.Abs(last-252.5) > 1e-9 {
+		t.Fatalf("concurrent gets done at %g, want 252.5", last)
 	}
 }
 

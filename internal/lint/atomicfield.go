@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// AtomicFieldAnalyzer proves the third PDES precondition at struct-field
+// AtomicFieldAnalyzer checks concurrent-access safety at struct-field
 // granularity, extending runisolation (which covers package-level vars):
 // a field of a package-local struct that is reachable from more than one
 // goroutine-spawning context, with at least one write, must be atomic,

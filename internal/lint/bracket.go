@@ -6,11 +6,13 @@ import (
 	"go/types"
 )
 
-// BracketAnalyzer proves the node-phase bracketing discipline the parallel
-// engine's collective brackets rely on: every EnterNodePhase is matched by
-// an ExitNodePhase on every path out of the function, and brackets never
-// nest (the engine panics on a nested enter, but only on the first run that
-// actually reaches it — the analyzer catches the path that tests miss).
+// BracketAnalyzer proves the node-phase bracketing discipline: every
+// EnterNodePhase is matched by an ExitNodePhase on every path out of the
+// function, and brackets never nest. The brackets change the cost model (a
+// node-phase ReduceLocal skips the fabric; the exit charges one network
+// latency), so an unbalanced pair silently skews timings. The mpi layer
+// panics on a nested enter or an unmatched exit, but only on the first run
+// that actually reaches it — the analyzer catches the path that tests miss.
 //
 // The walk is a lexical abstract interpretation of the function body. Bare
 // Enter/Exit calls push and pop an unconditional bracket; the shipped

@@ -229,7 +229,7 @@ func Analyze(opts Options) ([]Diagnostic, *Stats, error) {
 // back (a legal test-only cycle in Go), so scheduling on test imports would
 // deadlock. Test and xtest variants still see the base table, the imported
 // facts of base deps, and their own base package's facts (merged in by
-// analyzeUnit), which is what the PDES analyzers need in practice.
+// analyzeUnit), which is what the fact-based analyzers need in practice.
 func unitDeps(m *unitMeta) []string {
 	out := append([]string(nil), m.Imports...)
 	sort.Strings(out)

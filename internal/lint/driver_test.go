@@ -26,64 +26,72 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-const cacheGoMod = "module cachetest\n\ngo 1.24\n"
+// The fixture module borrows the simulator's module path so its stub des
+// package matches the hierflow base facts (Engine.Now reads virtual time,
+// Engine.After consumes a time argument); vtmono then finds the app
+// package's bug only through base's cross-package TimeSinkParams fact.
+const cacheGoMod = "module hierknem\n\ngo 1.24\n"
 
-// cacheBaseSrc marks Cell as a component and exposes a helper whose
-// CrossStores fact says "param 1 is stored into param 0's reachable set" —
-// the cross-package fact the dependent package's analysis hinges on.
+const cacheDesSrc = `// Package des is a driver-test stub of the engine API.
+package des
+
+// Engine is the stub engine.
+type Engine struct{ now float64 }
+
+// Now returns virtual now.
+func (e *Engine) Now() float64 { return e.now }
+
+// After schedules fn d seconds from now.
+func (e *Engine) After(d float64, fn func()) {}
+`
+
+// cacheBaseSrc exposes a helper whose TimeSinkParams fact says "param 1
+// is a schedule time" — the cross-package fact the dependent package's
+// analysis hinges on.
 const cacheBaseSrc = `// Package base is a driver-test fixture.
 package base
 
-// Cell is a confinement domain.
-//
-//hierflow:component
-type Cell struct {
-	Items []*Item
-}
+import "hierknem/internal/des"
 
-// Item is payload.
-type Item struct{ N int }
-
-// Put stores it into dst's reachable set.
-func Put(dst *Cell, it *Item) {
-	dst.Items = append(dst.Items, it)
+// Schedule arms a no-op timer d seconds from now.
+func Schedule(e *des.Engine, d float64) {
+	e.After(d, func() {})
 }
 `
 
-// cacheBaseUnmarked is the same package without the component marker: the
-// fact set differs (no confined type), so swapping between the two changes
-// the base package's fact hash and must invalidate dependents.
-const cacheBaseUnmarked = `// Package base is a driver-test fixture.
+// cacheBaseNoSink is the same package with a helper that ignores its
+// delay: the fact set differs (no time sink), so swapping between the two
+// changes the base package's fact hash and must invalidate dependents.
+const cacheBaseNoSink = `// Package base is a driver-test fixture.
 package base
 
-// Cell is a confinement domain (unmarked in this variant).
-type Cell struct {
-	Items []*Item
-}
+import "hierknem/internal/des"
 
-// Item is payload.
-type Item struct{ N int }
-
-// Put stores it into dst's reachable set.
-func Put(dst *Cell, it *Item) {
-	dst.Items = append(dst.Items, it)
+// Schedule ignores its delay in this variant.
+func Schedule(e *des.Engine, d float64) {
+	_ = e
+	_ = d
 }
 `
 
 const cacheAppSrc = `// Package app is a driver-test fixture dependent.
 package app
 
-import "cachetest/internal/base"
+import (
+	"hierknem/internal/base"
+	"hierknem/internal/des"
+)
 
-// Leak moves an item across components through the helper.
-func Leak(a, b *base.Cell) {
-	base.Put(b, a.Items[0])
+// Late schedules relative to a deadline by subtracting now.
+func Late(e *des.Engine, deadline float64) {
+	base.Schedule(e, deadline-e.Now())
 }
 `
 
 func cacheTree(t *testing.T, baseSrc string) string {
 	return writeTree(t, map[string]string{
 		"go.mod":                cacheGoMod,
+		"internal/des/des.go":   cacheDesSrc,
 		"internal/base/base.go": baseSrc,
 		"internal/app/app.go":   cacheAppSrc,
 	})
@@ -122,7 +130,7 @@ func TestDriverCacheIdenticalTree(t *testing.T) {
 		t.Fatalf("cold run: %d hits, %d analyzed of %d units — want all analyzed", coldStats.CacheHits, coldStats.Analyzed, coldStats.Units)
 	}
 	if len(cold) == 0 {
-		t.Fatal("fixture tree should produce confine findings (cross-package fact check)")
+		t.Fatal("fixture tree should produce vtmono findings (cross-package fact check)")
 	}
 
 	warm, warmStats := analyzeTree(t, dir, cache, 0)
@@ -141,8 +149,8 @@ func TestDriverCacheIdenticalTree(t *testing.T) {
 
 // TestDriverCacheInvalidation pins the two invalidation granularities:
 // a comment-only edit re-analyzes just the touched package (its facts are
-// unchanged, so dependents early-cut), while a fact-changing edit (removing
-// the component marker) re-analyzes the dependents too.
+// unchanged, so dependents early-cut), while a fact-changing edit (the
+// helper stops scheduling) re-analyzes the dependents too.
 func TestDriverCacheInvalidation(t *testing.T) {
 	dir := cacheTree(t, cacheBaseSrc)
 	cache := filepath.Join(dir, ".cache")
@@ -150,7 +158,7 @@ func TestDriverCacheInvalidation(t *testing.T) {
 
 	diags, _ := analyzeTree(t, dir, cache, 0)
 	if len(diags) == 0 {
-		t.Fatal("marked fixture should produce confine findings")
+		t.Fatal("fixture should produce vtmono findings")
 	}
 
 	// Comment-only edit: base misses, app early-cuts on the fact hash.
@@ -159,25 +167,25 @@ func TestDriverCacheInvalidation(t *testing.T) {
 	}
 	_, stats := analyzeTree(t, dir, cache, 0)
 	hits := hitByPkg(stats)
-	if hits["cachetest/internal/base"] {
+	if hits["hierknem/internal/base"] {
 		t.Error("base should re-analyze after a source edit")
 	}
-	if !hits["cachetest/internal/app"] {
+	if !hits["hierknem/internal/app"] {
 		t.Error("app should cache-hit: the edit did not change base's facts (early cutoff)")
 	}
 
-	// Fact-changing edit: the marker disappears, base's fact hash changes,
-	// app must re-analyze — and its findings disappear with the marker.
-	if err := os.WriteFile(basePath, []byte(cacheBaseUnmarked), 0o644); err != nil {
+	// Fact-changing edit: the time sink disappears, base's fact hash
+	// changes, app must re-analyze — and its findings disappear with it.
+	if err := os.WriteFile(basePath, []byte(cacheBaseNoSink), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	diags, stats = analyzeTree(t, dir, cache, 0)
 	hits = hitByPkg(stats)
-	if hits["cachetest/internal/base"] || hits["cachetest/internal/app"] {
+	if hits["hierknem/internal/base"] || hits["hierknem/internal/app"] {
 		t.Errorf("both packages should re-analyze after a fact change, got hits %v", hits)
 	}
 	if len(diags) != 0 {
-		t.Errorf("unmarked tree should be clean, got %v", diags)
+		t.Errorf("sink-free tree should be clean, got %v", diags)
 	}
 }
 

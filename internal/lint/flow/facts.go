@@ -24,23 +24,16 @@ type Fact struct {
 	// TimeSinkParams: parameter indices that flow into a schedule/timer
 	// time argument (des At/After/Sleep, transitively).
 	TimeSinkParams []int `json:"timeSinkParams,omitempty"`
-	// CrossStores: (src, dst) parameter index pairs (receiver = -1) where
-	// the value of src is stored into state reachable from dst.
-	CrossStores [][2]int `json:"crossStores,omitempty"`
-	// SyncAPI: designated cross-component sync API (//hierflow:sync).
-	SyncAPI bool `json:"syncAPI,omitempty"`
 }
 
 func (f Fact) empty() bool {
-	return !f.Yields && !f.SyncAPI &&
-		len(f.NowResults) == 0 && len(f.TimeSinkParams) == 0 && len(f.CrossStores) == 0
+	return !f.Yields && len(f.NowResults) == 0 && len(f.TimeSinkParams) == 0
 }
 
 func (f Fact) equal(g Fact) bool {
-	if f.Yields != g.Yields || f.SyncAPI != g.SyncAPI ||
+	if f.Yields != g.Yields ||
 		len(f.NowResults) != len(g.NowResults) ||
-		len(f.TimeSinkParams) != len(g.TimeSinkParams) ||
-		len(f.CrossStores) != len(g.CrossStores) {
+		len(f.TimeSinkParams) != len(g.TimeSinkParams) {
 		return false
 	}
 	for i := range f.NowResults {
@@ -53,27 +46,19 @@ func (f Fact) equal(g Fact) bool {
 			return false
 		}
 	}
-	for i := range f.CrossStores {
-		if f.CrossStores[i] != g.CrossStores[i] {
-			return false
-		}
-	}
 	return true
 }
 
 // FactSet is the serializable fact table of one package (or the merged
 // table of a package's dependencies). Function keys are types.Func
 // FullName strings — e.g. "(*hierknem/internal/des.Proc).Sleep" — which
-// are stable across loads; confined types are "pkgpath.TypeName".
+// are stable across loads.
 type FactSet struct {
-	Funcs         map[string]Fact `json:"funcs,omitempty"`
-	ConfinedTypes map[string]bool `json:"confinedTypes,omitempty"`
+	Funcs map[string]Fact `json:"funcs,omitempty"`
 }
 
 // NewFactSet returns an empty fact set.
-func NewFactSet() *FactSet {
-	return &FactSet{Funcs: map[string]Fact{}, ConfinedTypes: map[string]bool{}}
-}
+func NewFactSet() *FactSet { return &FactSet{Funcs: map[string]Fact{}} }
 
 // Merge adds other's entries into fs (other wins on conflicts).
 func (fs *FactSet) Merge(other *FactSet) {
@@ -82,9 +67,6 @@ func (fs *FactSet) Merge(other *FactSet) {
 	}
 	for k, v := range other.Funcs {
 		fs.Funcs[k] = v
-	}
-	for k, v := range other.ConfinedTypes {
-		fs.ConfinedTypes[k] = v
 	}
 }
 
@@ -150,16 +132,6 @@ func (in *Info) FactFor(fn *types.Func) Fact {
 // enough that the simple whole-package sweep is fast.
 func computeFacts(in *Info) {
 	own := NewFactSet()
-	for tn := range in.Markers.confined {
-		if tn.Pkg() != nil {
-			own.ConfinedTypes[tn.Pkg().Path()+"."+tn.Name()] = true
-		}
-	}
-	for fn := range in.Markers.syncFns {
-		f := own.Funcs[FuncID(fn)]
-		f.SyncAPI = true
-		own.Funcs[FuncID(fn)] = f
-	}
 	in.Own = own
 
 	for round := 0; round <= len(in.Funcs)+1; round++ {
@@ -168,7 +140,6 @@ func computeFacts(in *Info) {
 			id := FuncID(fi.Obj)
 			prev := own.Funcs[id]
 			next := fi.computeFact()
-			next.SyncAPI = prev.SyncAPI
 			if !next.equal(prev) {
 				if next.empty() {
 					delete(own.Funcs, id)
@@ -298,33 +269,5 @@ func (fi *FuncInfo) computeFact() Fact {
 		}
 		sort.Ints(f.NowResults)
 	}
-
-	// CrossStores: a store site whose dst and src root at two distinct
-	// parameters couples the caller's arguments.
-	pairSeen := map[[2]int]bool{}
-	for _, site := range fi.ParamStores() {
-		for d := range site.Dst {
-			dIdx, dOK := fi.ParamIndex(d)
-			if !dOK {
-				continue
-			}
-			for s := range site.Src {
-				sIdx, sOK := fi.ParamIndex(s)
-				if !sOK || s == d {
-					continue
-				}
-				pairSeen[[2]int{sIdx, dIdx}] = true
-			}
-		}
-	}
-	for p := range pairSeen {
-		f.CrossStores = append(f.CrossStores, p)
-	}
-	sort.Slice(f.CrossStores, func(i, j int) bool {
-		if f.CrossStores[i][0] != f.CrossStores[j][0] {
-			return f.CrossStores[i][0] < f.CrossStores[j][0]
-		}
-		return f.CrossStores[i][1] < f.CrossStores[j][1]
-	})
 	return f
 }

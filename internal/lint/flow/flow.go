@@ -1,6 +1,6 @@
 // Package flow is hierlint's interprocedural dataflow layer ("hierflow").
 // It turns one type-checked package (go/ast + go/types, nothing else) into
-// the three structures the PDES-precondition analyzers need:
+// the three structures the fact-based analyzers need:
 //
 //   - Def-use chains per function: every local variable's definition sites
 //     (declaration, assignment, range binding, augmented assignment) in
@@ -20,13 +20,9 @@
 //     and feeds dependents, which is also what makes the result cache's
 //     early cutoff sound for fact-dependent analyzers.
 //
-// Source markers (reason-mandatory, like //lint:ignore) declare the
-// domain knowledge the analyzers check against:
+// One source marker (reason-mandatory, like //lint:ignore) declares domain
+// knowledge the analyzers check against:
 //
-//	//hierflow:component               on a type: its reachable state is
-//	                                   one PDES partition cell (confine)
-//	//hierflow:sync <reason>           on a func: designated cross-component
-//	                                   membership/sync API (confine)
 //	//hierflow:serial <reason>         on/above a go statement: the spawned
 //	                                   goroutine is serialized with its
 //	                                   spawner (atomicfield)
@@ -95,7 +91,7 @@ func Build(pkgPath string, fset *token.FileSet, files []*ast.File, tpkg *types.P
 		byObj:     map[*types.Func]*FuncInfo{},
 		Imported:  imported,
 	}
-	in.Markers = scanMarkers(fset, files, tinfo)
+	in.Markers = scanMarkers(fset, files)
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -250,10 +246,6 @@ func (fi *FuncInfo) Reaching(v *types.Var, pos token.Pos) *Def {
 // Local reports whether v is one of the function's tracked locals.
 func (fi *FuncInfo) Local(v *types.Var) bool { _, ok := fi.defs[v]; return ok }
 
-// ParamIndex returns v's signature parameter index (receiver -1) and
-// whether v is a parameter of the function.
-func (fi *FuncInfo) ParamIndex(v *types.Var) (int, bool) { i, ok := fi.params[v]; return i, ok }
-
 // CalleeFunc resolves the called function or method of a call expression,
 // seeing through parentheses; nil when the callee is not a named function.
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -291,14 +283,10 @@ func ReceiverExpr(info *types.Info, call *ast.CallExpr) ast.Expr {
 
 // ---- markers ----
 
-// Marker directives carry domain knowledge into the analyzers. sync and
-// serial markers are exemptions, so — like //lint:ignore — they must say
-// why; a reasonless one declares nothing and is reported as malformed.
-const (
-	markerComponent = "//hierflow:component"
-	markerSync      = "//hierflow:sync"
-	markerSerial    = "//hierflow:serial"
-)
+// The serial marker carries domain knowledge into the analyzers. It is an
+// exemption, so — like //lint:ignore — it must say why; a reasonless one
+// declares nothing and is reported as malformed.
+const markerSerial = "//hierflow:serial"
 
 // Malformed is a marker that cannot take effect (missing reason).
 type Malformed struct {
@@ -308,8 +296,6 @@ type Malformed struct {
 
 // Markers is one package's parsed hierflow directive table.
 type Markers struct {
-	confined  map[*types.TypeName]bool
-	syncFns   map[*types.Func]bool
 	serialGo  map[lineKey]bool
 	Malformed []Malformed
 }
@@ -319,60 +305,9 @@ type lineKey struct {
 	line int
 }
 
-func scanMarkers(fset *token.FileSet, files []*ast.File, info *types.Info) Markers {
-	m := Markers{
-		confined: map[*types.TypeName]bool{},
-		syncFns:  map[*types.Func]bool{},
-		serialGo: map[lineKey]bool{},
-	}
-	hasMarker := func(cg *ast.CommentGroup, marker string) (found, reasoned bool) {
-		if cg == nil {
-			return false, false
-		}
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, marker)
-			if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-				continue
-			}
-			return true, strings.TrimSpace(rest) != ""
-		}
-		return false, false
-	}
+func scanMarkers(fset *token.FileSet, files []*ast.File) Markers {
+	m := Markers{serialGo: map[lineKey]bool{}}
 	for _, f := range files {
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.GenDecl:
-				if d.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					for _, cg := range []*ast.CommentGroup{d.Doc, ts.Doc, ts.Comment} {
-						if found, _ := hasMarker(cg, markerComponent); found {
-							if tn, ok := info.Defs[ts.Name].(*types.TypeName); ok {
-								m.confined[tn] = true
-							}
-						}
-					}
-				}
-			case *ast.FuncDecl:
-				if found, reasoned := hasMarker(d.Doc, markerSync); found {
-					if !reasoned {
-						m.Malformed = append(m.Malformed, Malformed{
-							Pos:     fset.Position(d.Pos()),
-							Message: "//hierflow:sync without a reason exempts nothing: say why cross-component stores are safe here",
-						})
-						continue
-					}
-					if fn, ok := info.Defs[d.Name].(*types.Func); ok {
-						m.syncFns[fn] = true
-					}
-				}
-			}
-		}
 		// serial markers cover their own line and the line below, so both
 		// trailing and preceding placement work (same contract as
 		// //lint:ignore).
@@ -402,37 +337,4 @@ func scanMarkers(fset *token.FileSet, files []*ast.File, info *types.Info) Marke
 // //hierflow:serial (spawner-serialized; not a concurrency context).
 func (m Markers) SerialGo(pos token.Position) bool {
 	return m.serialGo[lineKey{pos.Filename, pos.Line}]
-}
-
-// IsConfined reports whether t (or its pointee) is a confinement domain:
-// marked //hierflow:component here, or exported as such by a dependency.
-func (in *Info) IsConfined(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	tn := named.Obj()
-	if in.Markers.confined[tn] {
-		return true
-	}
-	if tn.Pkg() == nil {
-		return false
-	}
-	id := tn.Pkg().Path() + "." + tn.Name()
-	return in.Imported != nil && in.Imported.ConfinedTypes[id]
-}
-
-// SyncAPI reports whether fn is a designated cross-component sync API:
-// marked //hierflow:sync here, or exported as such by a dependency.
-func (in *Info) SyncAPI(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	if in.Markers.syncFns[fn] {
-		return true
-	}
-	return in.FactFor(fn).SyncAPI
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // Trace reports whether e's value can derive from an expression matched by
@@ -105,238 +104,4 @@ func (t *tracer) traceDef(v *types.Var, d *Def) (bool, token.Pos) {
 		origin = d.Pos
 	}
 	return tainted, origin
-}
-
-// ---- confined-value roots (confine analyzer + CrossStores facts) ----
-
-// RootsOf computes the set of confinement roots e's value can be reachable
-// from: the local variables of confined type (see Info.IsConfined) whose
-// state the value derives from. Aliases (a := b) collapse onto the
-// original root; values freshly constructed inside the function root at
-// the variable they are bound to; scalar (basic-typed) expressions carry
-// no roots — copying a number across components shares no mutable state.
-func (fi *FuncInfo) RootsOf(e ast.Expr) map[*types.Var]bool {
-	return fi.rootsOf(e, fi.confinedRoot, map[defKey]bool{})
-}
-
-// confinedRoot is the analyzer-side root predicate: locals of component
-// type. paramRoot is the fact-side predicate: any parameter, so helper
-// summaries (CrossStores) are computed without knowing the caller's
-// confinement and apply wherever confined values are passed in.
-func (fi *FuncInfo) confinedRoot(v *types.Var) bool { return fi.info.IsConfined(v.Type()) }
-func (fi *FuncInfo) paramRoot(v *types.Var) bool    { _, ok := fi.params[v]; return ok }
-
-func (fi *FuncInfo) rootsOf(e ast.Expr, pred func(*types.Var) bool, visiting map[defKey]bool) map[*types.Var]bool {
-	if e == nil {
-		return nil
-	}
-	info := fi.info.TypesInfo
-	if tv, ok := info.Types[e]; ok && tv.Type != nil {
-		if _, basic := tv.Type.Underlying().(*types.Basic); basic {
-			return nil
-		}
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		v, ok := info.ObjectOf(e).(*types.Var)
-		if !ok || !fi.Local(v) {
-			return nil
-		}
-		d := fi.Reaching(v, e.Pos())
-		if d != nil && (d.RHS != nil || d.Range) {
-			k := defKey{v, d.Pos}
-			if !visiting[k] {
-				visiting[k] = true
-				roots := fi.rootsOf(d.RHS, pred, visiting)
-				delete(visiting, k)
-				if len(roots) > 0 {
-					return roots // alias / derived: keep the original roots
-				}
-			}
-		}
-		if pred(v) {
-			return map[*types.Var]bool{v: true}
-		}
-		return nil
-	case *ast.ParenExpr:
-		return fi.rootsOf(e.X, pred, visiting)
-	case *ast.StarExpr:
-		return fi.rootsOf(e.X, pred, visiting)
-	case *ast.UnaryExpr:
-		return fi.rootsOf(e.X, pred, visiting)
-	case *ast.SelectorExpr:
-		return fi.rootsOf(e.X, pred, visiting)
-	case *ast.IndexExpr:
-		return fi.rootsOf(e.X, pred, visiting)
-	case *ast.SliceExpr:
-		return fi.rootsOf(e.X, pred, visiting)
-	case *ast.CompositeLit:
-		var out map[*types.Var]bool
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			out = unionRoots(out, fi.rootsOf(el, pred, visiting))
-		}
-		return out
-	case *ast.CallExpr:
-		// A call's result conservatively carries its arguments' (and
-		// receiver's) roots: append, helpers returning a view, etc.
-		var out map[*types.Var]bool
-		if recv := ReceiverExpr(info, e); recv != nil {
-			out = unionRoots(out, fi.rootsOf(recv, pred, visiting))
-		}
-		for _, arg := range e.Args {
-			out = unionRoots(out, fi.rootsOf(arg, pred, visiting))
-		}
-		return out
-	}
-	return nil
-}
-
-func unionRoots(a, b map[*types.Var]bool) map[*types.Var]bool {
-	if len(b) == 0 {
-		return a
-	}
-	if a == nil {
-		a = map[*types.Var]bool{}
-	}
-	for v := range b {
-		a[v] = true
-	}
-	return a
-}
-
-// StoreSite is one statement that stores a value into state reachable from
-// a confined root: Dst holds the roots of the store target's base, Src the
-// roots of the stored value. A site with two distinct roots across Dst and
-// Src is a cross-component store.
-type StoreSite struct {
-	Pos  token.Pos
-	Dst  map[*types.Var]bool
-	Src  map[*types.Var]bool
-	Via  *types.Func // non-nil: implied by the callee's CrossStores fact
-	Args [2]ast.Expr // for Via sites: the (src, dst) argument expressions
-}
-
-// ConfinedStores scans the function for stores into confined-rooted state:
-// direct assignments through a selector/index chain, and calls whose callee
-// has a CrossStores summary fact (the interprocedural case). ParamStores is
-// the same scan rooted at the function's parameters instead — the transfer
-// function that derives the function's own CrossStores fact.
-func (fi *FuncInfo) ConfinedStores() []StoreSite { return fi.stores(fi.confinedRoot) }
-
-// ParamStores returns the store sites rooted at parameters (see above).
-func (fi *FuncInfo) ParamStores() []StoreSite { return fi.stores(fi.paramRoot) }
-
-func (fi *FuncInfo) stores(pred func(*types.Var) bool) []StoreSite {
-	rootsOf := func(e ast.Expr) map[*types.Var]bool {
-		return fi.rootsOf(e, pred, map[defKey]bool{})
-	}
-	var sites []StoreSite
-	ast.Inspect(fi.Decl, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				base := storeBase(lhs)
-				if base == nil {
-					continue
-				}
-				dst := rootsOf(base)
-				if len(dst) == 0 {
-					continue
-				}
-				var rhs ast.Expr
-				switch {
-				case len(n.Rhs) == len(n.Lhs):
-					rhs = n.Rhs[i]
-				case len(n.Rhs) == 1:
-					rhs = n.Rhs[0]
-				}
-				src := rootsOf(rhs)
-				if len(src) == 0 {
-					continue
-				}
-				sites = append(sites, StoreSite{Pos: lhs.Pos(), Dst: dst, Src: src})
-			}
-		case *ast.CallExpr:
-			callee := CalleeFunc(fi.info.TypesInfo, n)
-			if callee == nil || fi.info.SyncAPI(callee) {
-				return true
-			}
-			fact := fi.info.FactFor(callee)
-			if len(fact.CrossStores) == 0 {
-				return true
-			}
-			recv := ReceiverExpr(fi.info.TypesInfo, n)
-			argAt := func(idx int) ast.Expr {
-				if idx == -1 {
-					return recv
-				}
-				if idx >= 0 && idx < len(n.Args) {
-					return n.Args[idx]
-				}
-				return nil
-			}
-			for _, pair := range fact.CrossStores {
-				srcArg, dstArg := argAt(pair[0]), argAt(pair[1])
-				if srcArg == nil || dstArg == nil {
-					continue
-				}
-				src, dst := rootsOf(srcArg), rootsOf(dstArg)
-				if len(src) == 0 || len(dst) == 0 {
-					continue
-				}
-				sites = append(sites, StoreSite{
-					Pos: n.Pos(), Dst: dst, Src: src,
-					Via: callee, Args: [2]ast.Expr{srcArg, dstArg},
-				})
-			}
-		}
-		return true
-	})
-	return sites
-}
-
-// storeBase returns the root expression of a store target that writes into
-// an object's reachable state (selector or index chain), or nil for plain
-// variable assignments.
-func storeBase(lhs ast.Expr) ast.Expr {
-	switch e := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		return e.X
-	case *ast.IndexExpr:
-		return e.X
-	case *ast.StarExpr:
-		return e.X
-	}
-	return nil
-}
-
-// DistinctRoots returns a pair of distinct roots across dst and src, if
-// any — the witness that a store couples two confinement domains. The
-// lexicographically first pair is chosen so diagnostics are deterministic.
-func (s StoreSite) DistinctRoots() (dst, src *types.Var, ok bool) {
-	for _, d := range sortedRoots(s.Dst) {
-		for _, r := range sortedRoots(s.Src) {
-			if d != r {
-				return d, r, true
-			}
-		}
-	}
-	return nil, nil, false
-}
-
-func sortedRoots(m map[*types.Var]bool) []*types.Var {
-	out := make([]*types.Var, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name() != out[j].Name() {
-			return out[i].Name() < out[j].Name()
-		}
-		return out[i].Pos() < out[j].Pos()
-	})
-	return out
 }

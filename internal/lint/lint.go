@@ -98,7 +98,6 @@ var Analyzers = []*Analyzer{
 	PoolReturnAnalyzer,
 	TagSpaceAnalyzer,
 	VtMonoAnalyzer,
-	ConfineAnalyzer,
 	AtomicFieldAnalyzer,
 	BracketAnalyzer,
 }

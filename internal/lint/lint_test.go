@@ -40,7 +40,7 @@ func TestCleanFixture(t *testing.T) {
 
 // TestByName covers registry lookup.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"determinism", "requesthygiene", "errcheck", "bufferescape", "runisolation", "poolreturn", "tagspace", "vtmono", "confine", "atomicfield", "bracket"} {
+	for _, name := range []string{"determinism", "requesthygiene", "errcheck", "bufferescape", "runisolation", "poolreturn", "tagspace", "vtmono", "atomicfield", "bracket"} {
 		if lint.ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil, want analyzer", name)
 		}
@@ -165,33 +165,25 @@ func TestSuppressionReasonRequired(t *testing.T) {
 }
 
 // TestMarkerReasonRequired pins the hierflow marker contract, mirroring
-// TestSuppressionReasonRequired: //hierflow:sync and //hierflow:serial are
-// exemptions, so a reasonless one declares nothing and is reported as
-// malformed under the "lint" pseudo-analyzer, while the well-formed sync
-// marker in the same fixture passes silently.
+// TestSuppressionReasonRequired: //hierflow:serial is an exemption, so a
+// reasonless one declares nothing and is reported as malformed under the
+// "lint" pseudo-analyzer, while the well-formed marker in the same fixture
+// passes silently.
 func TestMarkerReasonRequired(t *testing.T) {
 	pkgs, err := lint.Load(".", "./testdata/markers")
 	if err != nil {
 		t.Fatal(err)
 	}
 	diags := lint.Run(pkgs[0], nil)
-	if len(diags) != 2 {
-		t.Fatalf("got %d findings, want 2 malformed markers: %v", len(diags), diags)
+	if len(diags) != 1 {
+		t.Fatalf("got %d findings, want 1 malformed marker: %v", len(diags), diags)
 	}
-	var sawSync, sawSerial bool
-	for _, d := range diags {
-		if d.Analyzer != "lint" {
-			t.Errorf("marker finding under analyzer %q, want lint: %s", d.Analyzer, d)
-		}
-		if strings.Contains(d.Message, "hierflow:sync without a reason") {
-			sawSync = true
-		}
-		if strings.Contains(d.Message, "hierflow:serial without a reason") {
-			sawSerial = true
-		}
+	d := diags[0]
+	if d.Analyzer != "lint" {
+		t.Errorf("marker finding under analyzer %q, want lint: %s", d.Analyzer, d)
 	}
-	if !sawSync || !sawSerial {
-		t.Errorf("missing malformed-marker findings (sync=%v serial=%v): %v", sawSync, sawSerial, diags)
+	if !strings.Contains(d.Message, "hierflow:serial without a reason") {
+		t.Errorf("missing malformed serial-marker finding: %v", d)
 	}
 }
 

@@ -22,7 +22,7 @@ func missingExitOnReturn(p *mpi.Proc, c *mpi.Comm, leader bool) {
 	p.ExitNodePhase()
 }
 
-// nestedEnter opens a second phase inside the first; the engine panics on
+// nestedEnter opens a second phase inside the first; the mpi layer panics on
 // the first run that reaches this, the analyzer catches it statically.
 func nestedEnter(p *mpi.Proc, c *mpi.Comm) {
 	p.EnterNodePhase()

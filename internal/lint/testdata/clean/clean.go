@@ -71,20 +71,6 @@ func deadline(e *des.Engine, p *des.Proc, fn func()) {
 	e.At(horizon, fn)
 }
 
-// domain is a confinement cell for the suppressed confine case below.
-//
-//hierflow:component
-type domain struct {
-	refs []*domain
-}
-
-// inspectPeer aliases one domain into another read-only; the directive
-// records that and suppresses the confine finding.
-func inspectPeer(a, b *domain) {
-	//lint:ignore confine read-only diagnostic alias, never written through
-	a.refs = append(a.refs, b)
-}
-
 // probe is written by its goroutine and read ambiently, but the consumer
 // provably waits for the channel first; the directive records that and
 // suppresses the atomicfield finding.

@@ -1,30 +1,15 @@
-// Package markers exercises the hierflow marker contract: sync and serial
-// markers are exemptions, so a reasonless one declares nothing and is
-// reported as malformed (under the "lint" pseudo-analyzer, like a
-// reasonless //lint:ignore).
+// Package markers exercises the hierflow marker contract: the serial marker
+// is an exemption, so a reasonless one declares nothing and is reported as
+// malformed (under the "lint" pseudo-analyzer, like a reasonless
+// //lint:ignore), while a well-formed one passes silently.
 package markers
-
-//hierflow:component
-type pod struct {
-	links []*pod
-}
-
-// badSync carries a reasonless sync marker: it exempts nothing and is
-// itself reported.
-//
-//hierflow:sync
-func badSync(a, b *pod) {
-	b.links = append(b.links, a)
-}
-
-// goodSync is a well-formed sync API: exempt, no findings.
-//
-//hierflow:sync fixture membership transfer, validated by golden test
-func goodSync(a, b *pod) {
-	b.links = append(b.links, a)
-}
 
 func spawn(done chan struct{}) {
 	//hierflow:serial
+	go func() { close(done) }()
+}
+
+func spawnReasoned(done chan struct{}) {
+	//hierflow:serial fixture goroutine, joined by the caller through done
 	go func() { close(done) }()
 }

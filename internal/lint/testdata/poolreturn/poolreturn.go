@@ -100,9 +100,8 @@ func cleanReassign(pl *pool) {
 	pl.release(r)
 }
 
-// Sharded free list: per-domain heads with cache-line padding, the shape
-// the fabric flow pool and the mpi envelope pools take under parallel
-// in-window execution. The analyzer must see through the shard selector:
+// Sharded free list: per-shard heads with cache-line padding. The analyzer
+// must see through the shard selector:
 // allocation and release both go via a *shard lvalue, not the pool itself.
 type shard struct {
 	free []*rec

@@ -5,12 +5,11 @@ import (
 	"go/token"
 )
 
-// VtMonoAnalyzer proves the first PDES precondition: virtual time never
-// moves backwards. A conservative parallel DES advances each component
-// inside a bounded virtual-time window; an event scheduled in the past
-// (before the window floor) is the one bug the engine cannot recover
-// from, and in a sequential run it only manifests as a silently wrong
-// timing curve.
+// VtMonoAnalyzer proves that virtual time never moves backwards. An event
+// scheduled in the past is a bug the engine can only refuse at run time
+// (with a panic), and only on a run that reaches it; a subtly stale
+// deadline that stays in the future shows up as a silently wrong timing
+// curve.
 //
 // The analyzer inspects every call whose callee has a hierflow
 // TimeSinkParams fact — the des schedule/timer primitives (Engine.At,

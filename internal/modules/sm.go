@@ -18,12 +18,12 @@ type smShare struct {
 }
 
 // The three sm* helpers below are the shared intra-node stretches of every
-// classic two-level personality (hierarch, MVAPICH2). Each is node-confined
-// by construction — blackboard posts, intra-node barriers and shared-segment
+// classic two-level personality (hierarch, MVAPICH2). Each is node-local by
+// construction — blackboard posts, intra-node barriers and shared-segment
 // copies among the ranks of one node — so when the message is small enough
 // for the fabric bypass, every participant (the leader included; the
 // brackets must be collective) wraps the whole stretch in EnterNodePhase/
-// ExitNodePhase and the parallel engine runs the node on its own worker.
+// ExitNodePhase (see mpi.Proc.PhaseEligible for what the brackets cost).
 
 // smBcastIntra is the legacy shared-memory intra-node broadcast: the leader
 // (lcomm rank 0) copies the whole message into the shared segment

@@ -3,8 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sort"
-
-	"hierknem/internal/des"
 )
 
 // Comm is a communicator: an ordered group of world ranks with a private
@@ -104,12 +102,6 @@ const Undefined = -32766
 // ordered by key, ties broken by original rank (MPI semantics). Collective:
 // all members must call it. Ranks passing Undefined receive nil.
 func (c *Comm) Split(p *Proc, color, key int) *Comm {
-	if p.dp.Confined() {
-		// Split mints a context id from the world-global counter and parks
-		// ranks across nodes — both global-domain state. Node phases use the
-		// prebuilt NodeComm instead.
-		panic(&des.CausalityError{Op: des.OpConfine, Domain: 0, At: p.dp.Now()})
-	}
 	me := c.Rank(p)
 	if c.splitOp == nil {
 		c.splitOp = &splitState{entries: make(map[int]splitEntry)}

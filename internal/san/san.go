@@ -36,7 +36,6 @@ package san
 import (
 	"fmt"
 	"os"
-	"sync"
 )
 
 // Kinds of pooled records tracked by the provenance checker.
@@ -76,18 +75,10 @@ type window struct {
 }
 
 // Sanitizer is one world's dynamic checker. The zero value is not usable;
-// create one with New. Every public hook takes an internal mutex: in the
-// engine's parallel mode, pool and access hooks fire concurrently from
-// in-window worker goroutines, and the checker's state (provenance map,
-// window table, union-find) is global to the world. Within a window the
-// engine clock is frozen at the window floor, so all in-phase accesses stamp
-// the same instant — cross-rank ordering inside a window comes from the sync
-// edges the engine records on every wake and outbox handoff, exactly the
-// instant-scoped edges the conflict rule already consumes. Serial mode pays
-// one uncontended lock per hook, and the disabled hot path (nil-guarded at
-// every call site) still pays nothing.
+// create one with New. Its hooks run on the engine's dispatch path, one at
+// a time like every other simulation step, so the checker takes no locks;
+// the disabled hot path (nil-guarded at every call site) pays nothing.
 type Sanitizer struct {
-	mu          sync.Mutex
 	now         func() float64
 	onViolation func(msg string)
 	violations  int
@@ -120,16 +111,12 @@ func (s *Sanitizer) SetOnViolation(fn func(msg string)) { s.onViolation = fn }
 
 // Violations returns the number of violations reported so far.
 func (s *Sanitizer) Violations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.violations
 }
 
 // Reset clears all provenance records, access windows and sync edges,
 // matching a World/Engine reset. The violation handler survives.
 func (s *Sanitizer) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	clear(s.pool)
 	s.windows = s.windows[:0]
 	s.free = s.free[:0]
@@ -172,8 +159,6 @@ func (s *Sanitizer) advance() float64 {
 // PoolAlloc records that a pooled record of the given kind entered service.
 // who names the acting rank ("" for engine-level records).
 func (s *Sanitizer) PoolAlloc(kind string, rec any, who string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	now := s.advance()
 	pr := s.pool[rec]
 	if pr == nil {
@@ -194,8 +179,6 @@ func (s *Sanitizer) PoolAlloc(kind string, rec any, who string) {
 // free list). Releasing a record that is not live is the double-release bug
 // class and fires a violation.
 func (s *Sanitizer) PoolRelease(kind string, rec any, who string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	now := s.advance()
 	pr := s.pool[rec]
 	if pr == nil {
@@ -218,8 +201,6 @@ func (s *Sanitizer) PoolRelease(kind string, rec any, who string) {
 // seen by the sanitizer) pass; a known record in the released state is the
 // use-after-release bug class.
 func (s *Sanitizer) PoolUse(rec any, who string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	now := s.advance()
 	pr := s.pool[rec]
 	if pr == nil || pr.live {
@@ -243,8 +224,6 @@ func orEngine(who string) string {
 // against every overlapping window of another rank that is still in flight,
 // or that closed at the current instant without a sync edge to rank.
 func (s *Sanitizer) BeginAccess(rank int, who string, buf uint64, off, n int64, write bool) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n <= 0 {
 		return -1
 	}
@@ -292,8 +271,6 @@ func rw(write bool) string {
 // no-op). The window stays visible to conflict checks until the clock
 // leaves the current instant.
 func (s *Sanitizer) EndAccess(h int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if h < 0 {
 		return
 	}
@@ -311,8 +288,6 @@ func (s *Sanitizer) EndAccess(h int) {
 // begins at this instant. Edges are transitive within the instant and
 // expire when the clock advances.
 func (s *Sanitizer) SyncEdge(a, b int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if a == b {
 		return
 	}

@@ -54,8 +54,37 @@ func TestCopyDuration(t *testing.T) {
 func TestSameSocketCopyChargesBusTwice(t *testing.T) {
 	m := testMachine(t)
 	s0 := m.Nodes[0].Sockets[0]
-	// Four concurrent same-socket copies: each wants 40 B/s but consumes
-	// 2x on the bus; bus 100 B/s -> each runs at 12.5 B/s effective.
+	// Four concurrent same-socket copies at the fabric-bypass cutoff or
+	// above: each wants 40 B/s but consumes 2x on the bus; bus 100 B/s ->
+	// each runs at 12.5 B/s effective.
+	const n = 4100
+	if n < SmallCopyCutoff {
+		t.Fatalf("copy size %d must reach SmallCopyCutoff %d to install a flow", n, SmallCopyCutoff)
+	}
+	var last float64
+	for i := 0; i < 4; i++ {
+		core := s0.Cores[i%2]
+		m.Eng.Spawn("c", func(p *des.Proc) {
+			Copy(p, m, core, s0, s0, n, 0)
+			last = p.Now()
+		})
+	}
+	if err := m.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// rate per flow: bus carries 8 "shares" (4 flows x2); 100/8 = 12.5 B/s
+	// 4100 bytes / 12.5 = 328 s, + 0.5 latency.
+	if !almost(last, 328.5) {
+		t.Fatalf("copies finished at %g, want 328.5", last)
+	}
+}
+
+// TestSmallCopyBypassesFabric pins the other side of the cutoff: the same
+// four concurrent same-socket copies below SmallCopyCutoff install no flow
+// and each charges the unloaded core rate, 0.5 latency + 100/40 s.
+func TestSmallCopyBypassesFabric(t *testing.T) {
+	m := testMachine(t)
+	s0 := m.Nodes[0].Sockets[0]
 	var last float64
 	for i := 0; i < 4; i++ {
 		core := s0.Cores[i%2]
@@ -67,10 +96,11 @@ func TestSameSocketCopyChargesBusTwice(t *testing.T) {
 	if err := m.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// rate per flow: bus carries 8 "shares" (4 flows x2); 100/8 = 12.5 B/s
-	// 100 bytes / 12.5 = 8 s, + 0.5 latency.
-	if !almost(last, 8.5) {
-		t.Fatalf("copies finished at %g, want 8.5", last)
+	if !almost(last, 3) {
+		t.Fatalf("small copies finished at %g, want 3", last)
+	}
+	if st := m.Fab.Stats(); st.Fills != 0 {
+		t.Fatalf("small copies filled %d fabric components, want 0", st.Fills)
 	}
 }
 

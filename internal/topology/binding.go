@@ -25,13 +25,21 @@ func (b *Binding) Validate(m *Machine) error {
 	seen := make(map[int]bool, len(b.CoreOf))
 	for rank, gid := range b.CoreOf {
 		if gid < 0 || gid >= m.Spec.TotalCores() {
-			return fmt.Errorf("topology: binding %s: rank %d bound to core %d, machine has %d cores",
+			return Errorf("topology: binding %s: rank %d bound to core %d, machine has %d cores",
 				b.Name, rank, gid, m.Spec.TotalCores())
 		}
 		if seen[gid] {
-			return fmt.Errorf("topology: binding %s: core %d bound twice", b.Name, gid)
+			return Errorf("topology: binding %s: core %d bound twice", b.Name, gid)
 		}
 		seen[gid] = true
+	}
+	return nil
+}
+
+// checkNP rejects a negative process count before it sizes a rank table.
+func checkNP(np int) error {
+	if np < 0 {
+		return Errorf("topology: %d processes, must be non-negative", np)
 	}
 	return nil
 }
@@ -39,8 +47,11 @@ func (b *Binding) Validate(m *Machine) error {
 // ByCore builds the default binding: sequential ranks fill the cores of a
 // node before moving to the next node.
 func ByCore(m *Machine, np int) (*Binding, error) {
+	if err := checkNP(np); err != nil {
+		return nil, err
+	}
 	if np > m.Spec.TotalCores() {
-		return nil, fmt.Errorf("topology: %d processes > %d cores", np, m.Spec.TotalCores())
+		return nil, Errorf("topology: %d processes > %d cores", np, m.Spec.TotalCores())
 	}
 	b := &Binding{Name: "bycore", CoreOf: make([]int, np)}
 	for r := 0; r < np; r++ {
@@ -52,9 +63,12 @@ func ByCore(m *Machine, np int) (*Binding, error) {
 // ByNode builds the round-robin binding: one process per node per round,
 // skipping nodes whose cores are exhausted, exactly as the paper describes.
 func ByNode(m *Machine, np int) (*Binding, error) {
+	if err := checkNP(np); err != nil {
+		return nil, err
+	}
 	total := m.Spec.TotalCores()
 	if np > total {
-		return nil, fmt.Errorf("topology: %d processes > %d cores", np, total)
+		return nil, Errorf("topology: %d processes > %d cores", np, total)
 	}
 	cpn := m.Spec.CoresPerNode()
 	used := make([]int, m.Spec.Nodes) // next free core index per node
@@ -78,10 +92,13 @@ func ByNode(m *Machine, np int) (*Binding, error) {
 // moving to the next node, leaving the remaining cores idle.
 func ByCorePPN(m *Machine, np, ppn int) (*Binding, error) {
 	if ppn <= 0 || ppn > m.Spec.CoresPerNode() {
-		return nil, fmt.Errorf("topology: ppn %d out of range [1,%d]", ppn, m.Spec.CoresPerNode())
+		return nil, Errorf("topology: ppn %d out of range [1,%d]", ppn, m.Spec.CoresPerNode())
+	}
+	if err := checkNP(np); err != nil {
+		return nil, err
 	}
 	if np > ppn*m.Spec.Nodes {
-		return nil, fmt.Errorf("topology: %d processes > %d nodes x %d ppn", np, m.Spec.Nodes, ppn)
+		return nil, Errorf("topology: %d processes > %d nodes x %d ppn", np, m.Spec.Nodes, ppn)
 	}
 	cpn := m.Spec.CoresPerNode()
 	b := &Binding{Name: fmt.Sprintf("bycore-ppn%d", ppn), CoreOf: make([]int, np)}

@@ -83,3 +83,22 @@ func TestQuickByCorePPN(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBindingsRejectNegativeNP: a negative process count must not reach
+// make([]int, np); every binding rejects it with a *ConfigError.
+func TestBindingsRejectNegativeNP(t *testing.T) {
+	m := mustBuild(t, testSpec(2, 1, 4))
+	for _, c := range []struct {
+		name string
+		bind func() (*Binding, error)
+	}{
+		{"bycore", func() (*Binding, error) { return ByCore(m, -1) }},
+		{"bynode", func() (*Binding, error) { return ByNode(m, -1) }},
+		{"bycore-ppn4", func() (*Binding, error) { return ByCorePPN(m, -1, 4) }},
+	} {
+		_, err := c.bind()
+		if _, ok := err.(*ConfigError); !ok {
+			t.Errorf("%s with np=-1: error %v (%T), want a *ConfigError", c.name, err, err)
+		}
+	}
+}

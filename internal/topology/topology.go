@@ -42,6 +42,19 @@ type Spec struct {
 	EagerThreshold int64   // p2p eager/rendezvous switch (bytes)
 }
 
+// ConfigError reports a spec, binding or process count that no machine can
+// be built or bound with. Every construction-time rejection in this package
+// (and in the world constructors layered on it) has this type, so callers
+// can tell a bad configuration from a failure of the simulation itself.
+type ConfigError struct{ msg string }
+
+func (e *ConfigError) Error() string { return e.msg }
+
+// Errorf returns a *ConfigError with the formatted message.
+func Errorf(format string, args ...any) error {
+	return &ConfigError{msg: fmt.Sprintf(format, args...)}
+}
+
 // Validate reports the first problem with the spec. Every float field must
 // be finite (NaN compares false against any bound, so it is rejected
 // explicitly); the three required bandwidths must be positive, and every
@@ -49,15 +62,15 @@ type Spec struct {
 func (s *Spec) Validate() error {
 	switch {
 	case s.Nodes <= 0:
-		return fmt.Errorf("topology: %s: Nodes = %d", s.Name, s.Nodes)
+		return Errorf("topology: %s: Nodes = %d", s.Name, s.Nodes)
 	case s.SocketsPerNode <= 0:
-		return fmt.Errorf("topology: %s: SocketsPerNode = %d", s.Name, s.SocketsPerNode)
+		return Errorf("topology: %s: SocketsPerNode = %d", s.Name, s.SocketsPerNode)
 	case s.CoresPerSocket <= 0:
-		return fmt.Errorf("topology: %s: CoresPerSocket = %d", s.Name, s.CoresPerSocket)
+		return Errorf("topology: %s: CoresPerSocket = %d", s.Name, s.CoresPerSocket)
 	case s.L3Size < 0:
-		return fmt.Errorf("topology: %s: L3Size = %d, must be non-negative", s.Name, s.L3Size)
+		return Errorf("topology: %s: L3Size = %d, must be non-negative", s.Name, s.L3Size)
 	case s.EagerThreshold < 0:
-		return fmt.Errorf("topology: %s: EagerThreshold = %d, must be non-negative", s.Name, s.EagerThreshold)
+		return Errorf("topology: %s: EagerThreshold = %d, must be non-negative", s.Name, s.EagerThreshold)
 	}
 	for _, f := range []struct {
 		name     string
@@ -76,11 +89,11 @@ func (s *Spec) Validate() error {
 	} {
 		switch {
 		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
-			return fmt.Errorf("topology: %s: %s = %g, must be finite", s.Name, f.name, f.v)
+			return Errorf("topology: %s: %s = %g, must be finite", s.Name, f.name, f.v)
 		case f.positive && f.v <= 0:
-			return fmt.Errorf("topology: %s: %s = %g, must be positive", s.Name, f.name, f.v)
+			return Errorf("topology: %s: %s = %g, must be positive", s.Name, f.name, f.v)
 		case f.v < 0:
-			return fmt.Errorf("topology: %s: %s = %g, must be non-negative", s.Name, f.name, f.v)
+			return Errorf("topology: %s: %s = %g, must be non-negative", s.Name, f.name, f.v)
 		}
 	}
 	return nil
@@ -151,12 +164,6 @@ func Build(spec Spec) (*Machine, error) {
 	gid := 0
 	for ni := 0; ni < spec.Nodes; ni++ {
 		node := &Node{ID: ni}
-		// PDES domain = node index + 1; the backplane keeps the global
-		// domain 0 (it couples every node). A NIC belongs to its node:
-		// an inter-node flow spans two NIC domains and so collapses its
-		// component to the global domain, which is exactly the
-		// conservative treatment cross-domain traffic needs.
-		dom := int32(ni) + 1
 		if spec.NetFullDuplex {
 			node.NicTx = fab.NewResource(fmt.Sprintf("n%d/nic-tx", ni), spec.NetBandwidth)
 			node.NicRx = fab.NewResource(fmt.Sprintf("n%d/nic-rx", ni), spec.NetBandwidth)
@@ -164,8 +171,6 @@ func Build(spec Spec) (*Machine, error) {
 			nic := fab.NewResource(fmt.Sprintf("n%d/nic", ni), spec.NetBandwidth)
 			node.NicTx, node.NicRx = nic, nic
 		}
-		node.NicTx.SetDomain(dom)
-		node.NicRx.SetDomain(dom)
 		l3bw := spec.L3TotalBandwidth
 		if l3bw == 0 {
 			l3bw = 3 * spec.MemBandwidth
@@ -178,8 +183,6 @@ func Build(spec Spec) (*Machine, error) {
 				L3Bus:  fab.NewResource(fmt.Sprintf("n%d/s%d/l3", ni, si), l3bw),
 				l3:     newCacheState(spec.L3Size),
 			}
-			sock.MemBus.SetDomain(dom)
-			sock.L3Bus.SetDomain(dom)
 			for ci := 0; ci < spec.CoresPerSocket; ci++ {
 				core := &Core{GID: gid, NodeID: ni, Socket: sock, Local: ci}
 				sock.Cores = append(sock.Cores, core)
@@ -212,20 +215,6 @@ func (m *Machine) Reset() {
 		}
 	}
 }
-
-// Partition exposes the machine's PDES decomposition to the engine's
-// conservative parallel mode: one domain per node, with the window
-// lookahead equal to the inter-node one-way latency — no event scheduled
-// from one node can affect another node sooner than one network latency
-// away. The epoch mirrors the fabric's component-structure epoch, so a
-// component merge or split invalidates the cached lookahead.
-func (m *Machine) Partition() des.Partition { return machinePartition{m} }
-
-type machinePartition struct{ m *Machine }
-
-func (p machinePartition) Domains() int       { return p.m.Spec.Nodes }
-func (p machinePartition) Lookahead() float64 { return p.m.Spec.NetLatency }
-func (p machinePartition) Epoch() uint64      { return p.m.Fab.Epoch() }
 
 // Core returns the core with global id gid.
 func (m *Machine) Core(gid int) *Core {

@@ -7,23 +7,17 @@
 #             determinism, requesthygiene, errcheck, bufferescape,
 #             runisolation, poolreturn, tagspace, bracket (balanced
 #             EnterNodePhase/ExitNodePhase collective brackets), plus the
-#             hierflow interprocedural PDES preconditions: vtmono, confine,
-#             atomicfield. Runs twice (cold-ish, then warm) and prints
-#             both timings so result-cache effectiveness stays visible;
-#             also gates that all eleven analyzers are registered.
+#             hierflow interprocedural analyzers vtmono and atomicfield.
+#             Runs twice (cold-ish, then warm) and prints both timings so
+#             result-cache effectiveness stays visible; also gates that
+#             all ten analyzers are registered.
 #   test      the full suite under the race detector
-#   pdes      the root conformance/equivalence/isolation suites rerun with
-#             HIERKNEM_ENGINE=parallel (every world on the conservative
-#             parallel engine) — the serial run just passed under `test`,
-#             so any divergence the hex-exact log comparisons catch is the
-#             parallel engine's. Runs under a GOMAXPROCS matrix {1, 4}: 1
-#             pins the cooperative single-core interleaving (workers share
-#             one core, phases still execute), 4 gives phase workers real
-#             cores — the committed logs must not notice either way
 #   san       the conformance/isolation suites under HIERSAN=1 (the hiersan
 #             dynamic sanitizer) plus the seeded fault fixtures
-#   fuzz      10s FuzzMatch smoke over the p2p matching machinery, then 10s
-#             FuzzPDESDiff differential smoke (serial vs parallel engine)
+#   fuzz      10s smokes each: FuzzMatch over the p2p matching machinery,
+#             FuzzFabricDiff (incremental vs global fabric event logs) and
+#             FuzzWorldSpec (bad specs, bindings and sizes fail with typed
+#             errors, never panics)
 #   bench     the perf harness (scripts/bench.sh): DES hot-path suite vs
 #             checked-in baseline, fabric-allocator >=2x resource-visit
 #             criterion, and the parallel sweep gate (byte-identical
@@ -41,8 +35,8 @@ go vet ./...
 
 echo "==> hierlint ./..."
 go build -o /tmp/hierlint.verify ./cmd/hierlint
-if [ "$(/tmp/hierlint.verify -list | wc -l)" -ne 11 ]; then
-  echo "hierlint: expected 11 registered analyzers" >&2
+if [ "$(/tmp/hierlint.verify -list | wc -l)" -ne 10 ]; then
+  echo "hierlint: expected 10 registered analyzers" >&2
   /tmp/hierlint.verify -list >&2
   exit 1
 fi
@@ -56,21 +50,14 @@ echo "hierlint timing: first run $(( (t1 - t0) / 1000000 ))ms, warm-cache run $(
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> pdes (HIERKNEM_ENGINE=parallel conformance + equivalence + isolation, GOMAXPROCS matrix)"
-for procs in 1 4; do
-  echo "    GOMAXPROCS=$procs"
-  HIERKNEM_ENGINE=parallel GOMAXPROCS=$procs go test . -count=1 \
-    -run 'Conformance|EngineMode|Isolation|ParallelRuns|WorldReset|NodePhase'
-done
-
 echo "==> san (HIERSAN=1 conformance + seeded faults)"
 HIERSAN=1 go test ./... -run 'Conformance|Isolation'
-HIERSAN=1 HIERKNEM_ENGINE=parallel go test . -run 'Conformance|EngineMode'
 go test ./internal/des ./internal/mpi -run 'Sanitizer|StallAutopsy|MaxTimeAbort'
 
-echo "==> fuzz smoke (FuzzMatch, 10s; FuzzPDESDiff, 10s)"
+echo "==> fuzz smoke (FuzzMatch, FuzzFabricDiff, FuzzWorldSpec; 10s each)"
 go test ./internal/mpi -run '^$' -fuzz '^FuzzMatch$' -fuzztime 10s
-go test . -run '^$' -fuzz '^FuzzPDESDiff$' -fuzztime 10s
+go test . -run '^$' -fuzz '^FuzzFabricDiff$' -fuzztime 10s
+go test . -run '^$' -fuzz '^FuzzWorldSpec$' -fuzztime 10s
 
 echo "==> bench (DES hot path + fabric allocator + parallel sweep)"
 scripts/bench.sh
